@@ -16,7 +16,9 @@ profiled frequency, frequency-ratio scaling in between.
 :class:`FrequencySampler`) serve scalar draws from numpy block draws —
 bitwise-identical to repeated scalar sampling, at a fraction of the
 per-call cost. See :mod:`repro.distributions.buffered` for the
-determinism contract.
+determinism contract. :class:`WeightedIndex` does the same for weighted
+index draws: bit-identical to ``Generator.choice(n, p=p)``, with the
+CDF built once (:mod:`repro.distributions.weighted`).
 """
 
 from .base import Distribution
@@ -35,6 +37,7 @@ from .standard import (
     Uniform,
     Weibull,
 )
+from .weighted import WeightedIndex
 
 __all__ = [
     "Distribution",
@@ -53,4 +56,5 @@ __all__ = [
     "FrequencySampler",
     "BufferedSampler",
     "DEFAULT_BLOCK",
+    "WeightedIndex",
 ]

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..errors import DistributionError
 from .base import Distribution, require_non_negative, require_positive
+from .weighted import WeightedIndex
 
 
 class Deterministic(Distribution):
@@ -226,10 +227,10 @@ class Mixture(Distribution):
             raise DistributionError("mixture weights must be non-negative")
         self.components = list(components)
         self.weights = np.asarray(weights, dtype=float)
+        self._index = WeightedIndex(self.weights)
 
     def sample(self, rng: np.random.Generator) -> float:
-        idx = int(rng.choice(len(self.components), p=self.weights))
-        return self.components[idx].sample(rng)
+        return self.components[self._index.draw(rng)].sample(rng)
 
     def mean(self) -> float:
         return float(

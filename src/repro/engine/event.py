@@ -32,11 +32,13 @@ class Event:
     matter how many other simulators ran in the same process — required
     for cross-process determinism of the parallel experiment runner.
 
-    ``_key`` caches the heap entry ``(time, priority, seq, self)`` so
-    the queue's binary heap compares plain tuples in C instead of
-    calling back into :meth:`__lt__` and building fresh tuples per
-    comparison. The embedded event is never reached by a comparison:
-    ``seq`` is unique within a queue, so ties break at the third slot.
+    The queue's binary heap holds the entry ``(time, priority, seq,
+    event)`` built once per push, so comparisons stay on plain tuples in
+    C instead of calling back into :meth:`__lt__`. The embedded event is
+    never reached by a comparison: ``seq`` is unique within a queue, so
+    ties break at the third slot. The entry lives only in the heap; an
+    event holds no reference to it, so a fired event is not a reference
+    cycle and is freed by reference counting.
 
     Cancellation is lazy: :meth:`cancel` marks the event and the event
     loop discards it when popped, which keeps the heap operations
@@ -52,7 +54,7 @@ class Event:
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled",
-                 "transient", "_key", "_queue")
+                 "transient", "_queue")
 
     def __init__(
         self,
@@ -68,7 +70,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self.transient = False
-        self._key = None  # heap entry, built by EventQueue.push
         self._queue = None  # owning EventQueue while pending, else None
 
     def cancel(self) -> None:
@@ -91,10 +92,8 @@ class Event:
     # Ordering ---------------------------------------------------------
 
     def __lt__(self, other: "Event") -> bool:
-        # The heap never calls this (it compares ``_key`` tuples); kept
-        # for sorting events outside a queue. Compare the fields
-        # directly rather than slicing ``_key`` — the keys end with the
-        # events themselves, and comparing those would recurse.
+        # The heap never calls this (it compares its entry tuples);
+        # kept for sorting events outside a queue.
         if self.time != other.time:
             return self.time < other.time
         if self.priority != other.priority:
@@ -160,12 +159,11 @@ def acquire_event(
 def release_event(event: Event) -> None:
     """Return a fired transient event to the free list.
 
-    Clears the payload and heap key so the pool retains no references
-    to model objects (jobs, closures) between uses.
+    Clears the payload so the pool retains no references to model
+    objects (jobs, closures) between uses.
     """
     event.fn = None
     event.args = ()
-    event._key = None
     event._queue = None
     free = _FREE_EVENTS
     if len(free) < _FREE_CAP:

@@ -18,6 +18,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..distributions import WeightedIndex
 from ..errors import ConfigError
 
 
@@ -70,7 +71,7 @@ class PathSelector:
             self._by_name[path.name] = path
 
         self._prob_ids: Optional[list] = None
-        self._probs: Optional[np.ndarray] = None
+        self._index: Optional[WeightedIndex] = None
         if probabilities is not None:
             unknown = set(probabilities) - set(self._by_id)
             if unknown:
@@ -85,8 +86,8 @@ class PathSelector:
             if any(p < 0 for p in probabilities.values()):
                 raise ConfigError("path probabilities must be non-negative")
             self._prob_ids = sorted(probabilities)
-            self._probs = np.array(
-                [probabilities[i] for i in self._prob_ids], dtype=float
+            self._index = WeightedIndex(
+                [probabilities[i] for i in self._prob_ids]
             )
 
     @property
@@ -120,10 +121,8 @@ class PathSelector:
             return self.get(path_id)
         if path_name is not None:
             return self.get_by_name(path_name)
-        if self._probs is not None:
-            assert self._prob_ids is not None
-            drawn = int(rng.choice(len(self._prob_ids), p=self._probs))
-            return self._by_id[self._prob_ids[drawn]]
+        if self._index is not None:
+            return self._by_id[self._prob_ids[self._index.draw(rng)]]
         if len(self._by_id) == 1:
             return next(iter(self._by_id.values()))
         raise ConfigError(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict, deque
-from typing import Deque, List, Optional
+from typing import Deque, Iterable, List, Optional
 
 from ..errors import ConfigError
 from .job import Job
@@ -77,8 +77,24 @@ class StageQueue(abc.ABC):
         backlog at once, visibility rules notwithstanding.
         """
 
+    @abc.abstractmethod
+    def _candidates(self) -> Iterable[Job]:
+        """The jobs whose visibility decides readiness, in scan order.
+
+        A queue is ready exactly when one of them is not blocked: every
+        job for a FIFO, each subqueue's head for per-connection queues.
+        """
+
     def has_ready(self) -> bool:
-        return self.ready_count() > 0
+        """``ready_count() > 0``, answered at the first visible job.
+
+        With no blocked connections this looks at one job, however deep
+        the queue is.
+        """
+        for job in self._candidates():
+            if not _is_blocked(job):
+                return True
+        return False
 
 
 class SingleQueue(StageQueue):
@@ -117,6 +133,9 @@ class SingleQueue(StageQueue):
 
     def ready_count(self) -> int:
         return sum(1 for job in self._fifo if not _is_blocked(job))
+
+    def _candidates(self) -> Iterable[Job]:
+        return self._fifo
 
     def remove(self, job: Job) -> bool:
         try:
@@ -162,6 +181,9 @@ class _SubqueueMixin:
                 continue
             ready.append(key)
         return ready
+
+    def _heads(self) -> Iterable[Job]:
+        return (queue[0] for queue in self._subqueues.values() if queue)
 
     def _ready_total(self) -> int:
         return sum(
@@ -229,6 +251,9 @@ class SocketQueue(StageQueue, _SubqueueMixin):
     def ready_count(self) -> int:
         return self._ready_total()
 
+    def _candidates(self) -> Iterable[Job]:
+        return self._heads()
+
     def remove(self, job: Job) -> bool:
         return self._remove(job)
 
@@ -281,6 +306,9 @@ class EpollQueue(StageQueue, _SubqueueMixin):
 
     def ready_count(self) -> int:
         return self._ready_total()
+
+    def _candidates(self) -> Iterable[Job]:
+        return self._heads()
 
     def remove(self, job: Job) -> bool:
         return self._remove(job)

@@ -37,7 +37,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..engine import PRIORITY_ARRIVAL, Simulator
-from ..errors import TopologyError
+from ..distributions import WeightedIndex
+from ..errors import DistributionError, TopologyError
 from ..hardware import NetworkFabric
 from ..resilience import CircuitBreaker, ResiliencePolicy
 from ..service import Connection, Job, Microservice, Request
@@ -183,6 +184,9 @@ class Dispatcher:
             sim.random.stream("dispatcher/network")
         )
         self._trees: List[Tuple[PathTree, float]] = []
+        # Draw table over ``_trees``' weights: built by the first pick
+        # after the trees change, so add_tree only has to drop it.
+        self._tree_index: Optional[WeightedIndex] = None
         self._trees_by_type: Dict[str, PathTree] = {}
         self._trees_by_name: Dict[str, PathTree] = {}
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
@@ -252,6 +256,7 @@ class Dispatcher:
             self._trees_by_type[request_type] = tree
         else:
             self._trees.append((tree, 1.0 if probability is None else probability))
+            self._tree_index = None
         self._trees_by_name.setdefault(tree.name, tree)
         return tree
 
@@ -275,14 +280,19 @@ class Dispatcher:
             )
         if len(self._trees) == 1:
             return self._trees[0][0]
-        weights = np.array([w for _, w in self._trees], dtype=float)
-        total = weights.sum()
-        if not math.isclose(total, 1.0, rel_tol=1e-9):
-            raise TopologyError(
-                f"tree probabilities must sum to 1, got {total!r}"
-            )
-        idx = int(self._rng.choice(len(self._trees), p=weights))
-        return self._trees[idx][0]
+        index = self._tree_index
+        if index is None:
+            weights = np.array([w for _, w in self._trees], dtype=float)
+            total = weights.sum()
+            if not math.isclose(total, 1.0, rel_tol=1e-9):
+                raise TopologyError(
+                    f"tree probabilities must sum to 1, got {total!r}"
+                )
+            try:
+                index = self._tree_index = WeightedIndex(weights)
+            except DistributionError as exc:
+                raise TopologyError(f"tree probabilities: {exc}") from None
+        return self._trees[index.draw(self._rng)][0]
 
     # Outcome listeners ----------------------------------------------------
 
@@ -543,6 +553,12 @@ class Dispatcher:
             group.hedge_event = None
         for state in group.states:
             self._cancel_state(state)
+            # Jobs' callbacks point back at their state: dropping the
+            # tables breaks those cycles, so reference counting frees the
+            # request's objects. Late callbacks of cancelled attempts
+            # return on ``state.cancelled``/``group.resolved`` unread.
+            state.node_job.clear()
+        group.states.clear()
         request = group.request
         request.completed_at = self.sim.now
         request.outcome = outcome

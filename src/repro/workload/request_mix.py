@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..distributions import Deterministic, Distribution
+from ..distributions import Deterministic, Distribution, WeightedIndex
 from ..errors import WorkloadError
 
 
@@ -57,6 +57,7 @@ class RequestMix:
             raise WorkloadError("request mix weights must sum to > 0")
         self.types = list(types)
         self._probs = np.array([t.weight / total for t in types])
+        self._index = WeightedIndex(self._probs)
 
     @classmethod
     def single(
@@ -79,8 +80,7 @@ class RequestMix:
 
     def sample(self, rng: np.random.Generator) -> Tuple[str, float]:
         """Draw (type name, payload bytes) for the next request."""
-        idx = int(rng.choice(len(self.types), p=self._probs))
-        rtype = self.types[idx]
+        rtype = self.types[self._index.draw(rng)]
         return rtype.name, max(0.0, rtype.size.sample(rng))
 
     @property
