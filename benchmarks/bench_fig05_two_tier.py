@@ -11,7 +11,7 @@ from repro.experiments.validation import FIG5_CONFIGS, fig5_two_tier
 from repro.telemetry import format_table
 
 from .conftest import (
-    JOBS,
+    OPTIONS,
     SWEEP_HEADERS,
     presaturation_deviation,
     run_once,
@@ -23,7 +23,7 @@ from .conftest import (
 def test_fig05_two_tier(benchmark, emit):
     results = run_once(
         benchmark, fig5_two_tier, duration=scaled(0.4), warmup=scaled(0.1),
-        jobs=JOBS,
+        options=OPTIONS,
     )
     emit("\n=== Figure 5: 2-tier NGINX-memcached validation ===")
     for config, pair in results.items():

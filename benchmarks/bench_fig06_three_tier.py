@@ -11,7 +11,7 @@ from repro.experiments.validation import fig6_three_tier
 from repro.telemetry import format_table
 
 from .conftest import (
-    JOBS,
+    OPTIONS,
     SWEEP_HEADERS,
     presaturation_deviation,
     run_once,
@@ -23,7 +23,7 @@ from .conftest import (
 def test_fig06_three_tier(benchmark, emit):
     pair = run_once(
         benchmark, fig6_three_tier, duration=scaled(0.6), warmup=scaled(0.15),
-        jobs=JOBS,
+        options=OPTIONS,
     )
     emit("\n=== Figure 6: 3-tier NGINX-memcached-MongoDB validation ===")
     emit(format_table(SWEEP_HEADERS, sweep_rows(pair)))

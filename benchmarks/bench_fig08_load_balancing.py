@@ -9,13 +9,13 @@ from repro.experiments import saturation_load
 from repro.experiments.validation import fig8_load_balancing
 from repro.telemetry import format_table
 
-from .conftest import JOBS, SWEEP_HEADERS, run_once, scaled, sweep_rows
+from .conftest import OPTIONS, SWEEP_HEADERS, run_once, scaled, sweep_rows
 
 
 def test_fig08_load_balancing(benchmark, emit):
     results = run_once(
         benchmark, fig8_load_balancing,
-        duration=scaled(0.3), warmup=scaled(0.08), jobs=JOBS,
+        duration=scaled(0.3), warmup=scaled(0.08), options=OPTIONS,
     )
     emit("\n=== Figure 8: load balancing validation (p99 vs load) ===")
     saturations = {}

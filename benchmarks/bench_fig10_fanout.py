@@ -9,13 +9,13 @@ response grows with the fan-in width.
 from repro.experiments.validation import fig10_fanout
 from repro.telemetry import format_table
 
-from .conftest import JOBS, SWEEP_HEADERS, run_once, scaled, sweep_rows
+from .conftest import OPTIONS, SWEEP_HEADERS, run_once, scaled, sweep_rows
 
 
 def test_fig10_fanout(benchmark, emit):
     results = run_once(
         benchmark, fig10_fanout, duration=scaled(0.4), warmup=scaled(0.1),
-        jobs=JOBS,
+        options=OPTIONS,
     )
     emit("\n=== Figure 10: request fanout validation (p99 vs load) ===")
     for fanout_factor, pair in results.items():

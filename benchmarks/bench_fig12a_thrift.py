@@ -10,13 +10,13 @@ request timeouts and reconnection overhead (paper SSIV-C).
 from repro.experiments.validation import fig12a_thrift
 from repro.telemetry import format_table
 
-from .conftest import JOBS, SWEEP_HEADERS, run_once, scaled, sweep_rows
+from .conftest import OPTIONS, SWEEP_HEADERS, run_once, scaled, sweep_rows
 
 
 def test_fig12a_thrift(benchmark, emit):
     pair = run_once(
         benchmark, fig12a_thrift, duration=scaled(0.4), warmup=scaled(0.1),
-        jobs=JOBS,
+        options=OPTIONS,
     )
     emit("\n=== Figure 12(a): Thrift echo RPC validation ===")
     emit(format_table(SWEEP_HEADERS, sweep_rows(pair)))

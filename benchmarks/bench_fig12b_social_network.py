@@ -9,7 +9,7 @@ from repro.experiments.validation import fig12b_social_network
 from repro.telemetry import format_table
 
 from .conftest import (
-    JOBS,
+    OPTIONS,
     SWEEP_HEADERS,
     presaturation_deviation,
     run_once,
@@ -21,7 +21,7 @@ from .conftest import (
 def test_fig12b_social_network(benchmark, emit):
     pair = run_once(
         benchmark, fig12b_social_network,
-        duration=scaled(0.5), warmup=scaled(0.12), jobs=JOBS,
+        duration=scaled(0.5), warmup=scaled(0.12), options=OPTIONS,
     )
     emit("\n=== Figure 12(b): Social Network end-to-end validation ===")
     emit(format_table(SWEEP_HEADERS, sweep_rows(pair)))

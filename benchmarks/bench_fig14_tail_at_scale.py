@@ -9,7 +9,7 @@ consistent with Dean & Barroso).
 from repro.experiments.tail_at_scale import tail_at_scale_sweep
 from repro.telemetry import format_table
 
-from .conftest import JOBS, run_once, scaled_n
+from .conftest import OPTIONS, run_once, scaled_n
 
 CLUSTER_SIZES = (5, 10, 50, 100, 500, 1000)
 SLOW_FRACTIONS = (0.0, 0.01, 0.05, 0.10)
@@ -21,7 +21,7 @@ def test_fig14_tail_at_scale(benchmark, emit):
         cluster_sizes=CLUSTER_SIZES,
         slow_fractions=SLOW_FRACTIONS,
         num_requests=scaled_n(150),
-        jobs=JOBS,
+        options=OPTIONS,
     )
     emit("\n=== Figure 14: tail at scale (p99 ms by cluster size) ===")
     by_key = {(p.slow_fraction, p.cluster_size): p for p in points}

@@ -24,6 +24,7 @@ from pathlib import Path
 
 from repro.apps import two_tier
 from repro.experiments.loadsweep import measure_at_load
+from repro.experiments.options import RunOptions
 from repro.telemetry import load_timeline
 
 from . import conftest as bench
@@ -97,7 +98,9 @@ def test_scrape_enabled_exports_timeline_without_changing_results(
         t1 = time.perf_counter()
         on = measure_at_load(
             two_tier, QPS, duration=duration, warmup=warmup,
-            scrape_interval=SCRAPE_INTERVAL, trace_dir=TRACE_DIR,
+            options=RunOptions(
+                scrape_interval=SCRAPE_INTERVAL, trace_dir=TRACE_DIR
+            ),
         )
         t2 = time.perf_counter()
         return off, on, t1 - t0, t2 - t1

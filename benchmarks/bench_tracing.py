@@ -19,6 +19,7 @@ from pathlib import Path
 
 from repro.apps import two_tier
 from repro.experiments.loadsweep import measure_at_load
+from repro.experiments.options import RunOptions
 from repro.telemetry import TraceConfig, read_otlp
 
 from . import conftest as bench
@@ -91,8 +92,9 @@ def test_trace_enabled_sweep_exports_artifacts(benchmark, emit):
         QPS,
         duration=scaled(0.3),
         warmup=scaled(0.075),
-        trace=TraceConfig(sample_rate=0.1),
-        trace_dir=TRACE_DIR,
+        options=RunOptions(
+            trace=TraceConfig(sample_rate=0.1), trace_dir=TRACE_DIR
+        ),
     )
     assert point.completed > 0
     perfetto_path = TRACE_DIR / f"qps{QPS}.perfetto.json"

@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.experiments.options import RunOptions
 from repro.runner import default_jobs_from_env
 from repro.runner.runstore import environment_info, write_json_atomic
 
@@ -25,6 +26,8 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 #: Worker processes for sweep fan-out (``REPRO_BENCH_JOBS``, default 1).
 JOBS = default_jobs_from_env("REPRO_BENCH_JOBS")
+#: The run options every figure bench sweeps under.
+OPTIONS = RunOptions(jobs=JOBS)
 
 #: Where :func:`bench_record` accumulates machine-readable results.
 BENCH_JSON = os.environ.get("REPRO_BENCH_JSON", "BENCH_engine.json")

@@ -55,6 +55,7 @@ from .config import SimulationSpec
 from .engine import EngineProfiler
 from .errors import ReproError
 from .experiments import registry
+from .experiments.options import RunOptions
 from .faults import load_fault_plan
 from .telemetry import (
     MetricsRegistry,
@@ -200,26 +201,29 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    print(f"running {spec.exp_id} ({spec.paper_ref}): {spec.title} ...")
-    kwargs = {} if args.seed is None else {"seed": args.seed}
-    fault_plan = None
-    if args.fault_plan is not None:
-        fault_plan = load_fault_plan(args.fault_plan)
-    result = spec.run(
+    options = RunOptions(
         jobs=args.jobs,
         run_dir=args.run_dir,
         resume=args.resume,
         audit=args.audit,
+        fault_plan=(
+            None if args.fault_plan is None
+            else load_fault_plan(args.fault_plan)
+        ),
+        trace=(
+            None if args.trace_sample is None
+            else TraceConfig(sample_rate=args.trace_sample)
+        ),
         trace_dir=args.trace_dir,
-        trace_sample=args.trace_sample,
-        slo=args.slo or None,
+        slo=tuple(args.slo),
         scrape_interval=args.scrape_interval,
-        fault_plan=fault_plan,
         shards=args.shards,
         shard_timeout=args.shard_timeout,
         shard_restarts=args.shard_restarts,
-        **kwargs,
     )
+    print(f"running {spec.exp_id} ({spec.paper_ref}): {spec.title} ...")
+    kwargs = {} if args.seed is None else {"seed": args.seed}
+    result = spec.run(options, **kwargs)
     print(repr(result))
     if args.run_dir is not None:
         manifest_path = Path(args.run_dir) / "manifest.json"
@@ -355,8 +359,9 @@ def main(argv=None) -> int:
              "to this directory",
     )
     exp_run.add_argument(
-        "--trace-sample", type=float, default=1.0, metavar="R",
-        help="with --trace-dir: per-request trace sampling rate",
+        "--trace-sample", type=float, default=None, metavar="R",
+        help="with --trace-dir: per-request trace sampling rate "
+             "(default 1.0)",
     )
     exp_run.add_argument(
         "--slo", action="append", default=[], metavar="SPEC",

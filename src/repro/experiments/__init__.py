@@ -5,6 +5,7 @@ comparison, and the figure/table registry."""
 from . import (
     audit,
     comparison,
+    options,
     orchestration,
     power_mgmt,
     registry,
@@ -20,6 +21,7 @@ from .orchestration import (
     node_failure_experiment,
     rollout_experiment,
 )
+from .options import RunOptions
 from .replication import ReplicatedPoint, replicate_at_load
 from .loadsweep import (
     SweepPoint,
@@ -35,6 +37,7 @@ __all__ = [
     "NodeFailurePoint",
     "ReplicatedPoint",
     "RolloutPoint",
+    "RunOptions",
     "SweepPoint",
     "audit",
     "audit_client",
@@ -46,6 +49,7 @@ __all__ = [
     "measure_at_load",
     "measure_vanilla_point",
     "node_failure_experiment",
+    "options",
     "orchestration",
     "power_mgmt",
     "registry",

@@ -28,28 +28,11 @@ from ..runner import (
     register_result_type,
 )
 from ..telemetry.export import write_otlp, write_perfetto
-from ..telemetry.slo import SLO, SLOMonitor, parse_slo
+from ..telemetry.slo import SLOMonitor
 from ..telemetry.tracing import TraceConfig
 from ..workload import OpenLoopClient, RequestMix
 from .audit import audit_client
-
-#: How a sweep accepts SLOs: one spec string / SLO, or a sequence.
-SLOSpec = Union[str, SLO, Sequence[Union[str, SLO]]]
-
-
-def resolve_slos(
-    slo: Optional[SLOSpec], window: float
-) -> List[SLO]:
-    """Normalise an ``--slo`` style argument into :class:`SLO` objects
-    (spec strings parse with the given evaluation *window*)."""
-    if slo is None:
-        return []
-    if isinstance(slo, (str, SLO)):
-        slo = [slo]
-    return [
-        parse_slo(entry, window=window) if isinstance(entry, str) else entry
-        for entry in slo
-    ]
+from .options import RunOptions, SLOSpec, resolve_slos
 
 
 def slo_manifest_summary(results: Sequence[Any]) -> Dict[str, Any]:
@@ -211,24 +194,6 @@ class SweepPoint:
         ]
 
 
-def _trace_requested(
-    trace: Union[bool, TraceConfig],
-    trace_dir: Optional[Union[str, Path]],
-) -> bool:
-    """Would this trace/trace_dir pair actually sample anything?
-
-    ``trace_dir`` alone implies default tracing; a
-    :class:`~repro.telemetry.tracing.TraceConfig` with
-    ``sample_rate=0`` is a configured no-op and must not trip the
-    sharded blocked-knob check (or pay telemetry shipping).
-    """
-    if trace_dir is not None:
-        return True
-    if isinstance(trace, TraceConfig):
-        return trace.sample_rate > 0
-    return bool(trace)
-
-
 def shard_journal_name(derived_seed: int) -> str:
     """Per-point replay-journal filename, keyed by the derived seed.
 
@@ -270,25 +235,11 @@ def measure_at_load(
     warmup: float = 0.25,
     mix: Optional[RequestMix] = None,
     seed: int = 1,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> SweepPoint:
     """Build a fresh world, drive it at *qps* for *duration* seconds,
     and report statistics over the post-warmup window.
-
-    *slo* attaches live :class:`~repro.telemetry.slo.SLOMonitor`
-    objectives (spec strings like ``"p99<5ms"`` or :class:`SLO`
-    objects) to the client; the per-objective verdict summary rides the
-    returned point's ``slo`` field.
 
     The world is rebuilt per point so measurements are independent; the
     seed is derived from the full float load via
@@ -298,102 +249,90 @@ def measure_at_load(
     identical results whether its points run serially or fanned out
     across processes.
 
-    *fault_plan* arms a :class:`~repro.faults.FaultPlan` against the
-    freshly-built world before the clock starts, so sweeps can measure
-    behaviour under injected failures. *audit* runs the request
-    conservation check (:func:`~repro.experiments.audit.audit_client`)
-    after the window.
-
-    *trace* enables dispatcher tracing for the point (``True`` or a
-    :class:`~repro.telemetry.tracing.TraceConfig`); with *trace_dir*
-    set, the sampled traces are exported there as Perfetto and OTLP
-    JSON named after the offered load (setting *trace_dir* alone
-    implies ``trace=True``). Tracing draws from its own named RNG
-    stream, so the measured numbers are identical with or without it.
+    This is where *options* unpack into the per-point knobs of
+    :func:`measure_vanilla_point` (or, with ``shards > 1``, of the
+    builder's sharded runner): ``fault_plan`` is armed against the
+    freshly-built world before the clock starts, ``audit`` runs the
+    request conservation check after the window, ``slo`` objectives
+    ride the returned point's ``slo`` field, and traces export to
+    ``trace_dir`` as Perfetto and OTLP JSON named after the offered
+    load. Tracing draws from its own named RNG stream, so the measured
+    numbers are identical with or without it.
     """
     if warmup >= duration:
         raise ReproError(
             f"warmup ({warmup}) must be shorter than duration ({duration})"
         )
-    if shards > 1:
-        # The sharded core replaces the whole build-world/client/run
-        # pipeline, so it is an opt-in capability of the *builder*:
-        # models advertise it by attaching a ``sharded_runner``
-        # callable (see repro.experiments.tail_at_scale). Anything
-        # else fails loudly rather than silently measuring unsharded.
-        runner = getattr(build_world, "sharded_runner", None)
-        if runner is None:
-            raise ReproError(
-                f"builder {getattr(build_world, '__name__', build_world)!r} "
-                f"has no sharded runner; only topologies ported to "
-                f"repro.shard support shards > 1 (run with shards=1)"
-            )
-        # Telemetry knobs are forwarded only when the runner declares
-        # them (adapter-based runners carry ``supported_telemetry``;
-        # the hand-written fan-out runner carries none). A knob is
-        # "requested" only when it would actually do something — a
-        # TraceConfig with sampling disabled is a no-op, not a block.
-        supported = frozenset(getattr(runner, "supported_telemetry", ()))
-        requested = {
-            "mix": mix is not None,
-            "trace": _trace_requested(trace, trace_dir),
-            "trace_dir": trace_dir is not None,
-            "slo": slo is not None,
-            "scrape": scrape_interval is not None,
-        }
-        blocked = [
-            name for name, active in requested.items()
-            if active and name not in supported
-        ]
-        if blocked:
-            raise ReproError(
-                f"this sharded runner does not support "
-                f"{', '.join(blocked)}; run those with shards=1"
-            )
-        derived = derive_seed(seed, float(qps))
-        journal_path = None
-        if shard_journal_dir is not None:
-            journal_path = Path(shard_journal_dir) / shard_journal_name(derived)
-        telemetry = {
-            name: value
-            for name, value in (
-                ("mix", mix), ("trace", trace),
-                ("trace_dir", trace_dir), ("slo", slo),
-            )
-            if name in supported
-        }
-        if "scrape" in supported:
-            # The knob is named "scrape" (capability-wise) but the
-            # runner kwarg carries the interval itself.
-            telemetry["scrape_interval"] = scrape_interval
-        return runner(
-            qps=qps,
-            duration=duration,
-            warmup=warmup,
-            seed=derived,
-            shards=shards,
-            audit=audit,
-            fault_plan=fault_plan,
-            shard_timeout=shard_timeout,
-            shard_restarts=shard_restarts,
-            journal_path=journal_path,
-            **telemetry,
-            **world_kwargs,
+    derived = derive_seed(seed, float(qps))
+    if options.shards == 1:
+        return measure_vanilla_point(
+            build_world, qps, duration, warmup, derived,
+            mix=mix, fault_plan=options.fault_plan, audit=options.audit,
+            trace=options.point_trace, trace_dir=options.trace_dir,
+            slo=options.slo or None,
+            scrape_interval=options.scrape_interval, **world_kwargs,
         )
-    if fault_plan is not None and fault_plan.shard_faults():
+    # The sharded core replaces the whole build-world/client/run
+    # pipeline, so it is an opt-in capability of the *builder*: models
+    # advertise it by attaching a ``sharded_runner`` callable (see
+    # repro.experiments.tail_at_scale). Anything else fails loudly
+    # rather than silently measuring unsharded.
+    runner = getattr(build_world, "sharded_runner", None)
+    if runner is None:
         raise ReproError(
-            "fault plan carries shard_kill/shard_hang faults, which "
-            "target the sharded execution layer; run with --shards N"
+            f"builder {getattr(build_world, '__name__', build_world)!r} "
+            f"has no sharded runner; only topologies ported to "
+            f"repro.shard support shards > 1 (run with shards=1)"
         )
-    if shard_timeout is not None or shard_restarts is not None:
+    # Telemetry knobs are forwarded only when the runner declares them
+    # (adapter-based runners carry ``supported_telemetry``; the
+    # hand-written fan-out runner carries none). A knob is "requested"
+    # only when it would actually do something.
+    supported = frozenset(getattr(runner, "supported_telemetry", ()))
+    requested = {
+        "mix": mix is not None,
+        "trace": options.trace_dir is not None,
+        "trace_dir": options.trace_dir is not None,
+        "slo": bool(options.slo),
+        "scrape": options.scrape_interval is not None,
+    }
+    blocked = [
+        name for name, active in requested.items()
+        if active and name not in supported
+    ]
+    if blocked:
         raise ReproError(
-            "shard_timeout/shard_restarts tune the shard supervisor; "
-            "they need shards > 1"
+            f"this sharded runner does not support "
+            f"{', '.join(blocked)}; run those with shards=1"
         )
-    return measure_vanilla_point(
-        build_world, qps, duration, warmup, derive_seed(seed, float(qps)),
-        mix=mix, fault_plan=fault_plan, audit=audit, trace=trace,
-        trace_dir=trace_dir, slo=slo, scrape_interval=scrape_interval,
+    telemetry = {
+        name: value
+        for name, value in (
+            ("mix", mix), ("trace", options.point_trace),
+            ("trace_dir", options.trace_dir), ("slo", options.slo or None),
+        )
+        if name in supported
+    }
+    if "scrape" in supported:
+        # The knob is named "scrape" (capability-wise) but the runner
+        # kwarg carries the interval itself.
+        telemetry["scrape_interval"] = options.scrape_interval
+    journal_dir = options.shard_journal_dir
+    return runner(
+        qps=qps,
+        duration=duration,
+        warmup=warmup,
+        seed=derived,
+        shards=options.shards,
+        audit=options.audit,
+        fault_plan=options.fault_plan,
+        shard_timeout=options.shard_timeout,
+        shard_restarts=options.shard_restarts,
+        journal_path=(
+            None if journal_dir is None
+            else journal_dir / shard_journal_name(derived)
+        ),
+        **telemetry,
         **world_kwargs,
     )
 
@@ -421,7 +360,8 @@ def measure_vanilla_point(
     can run the *identical* code path with the *identical*
     already-derived seed — which is what makes ``shards=1`` trivially
     bit-identical to vanilla. Callers are expected to have done the
-    shard/tuning guard checks; *derived_seed* is used as-is.
+    shard/tuning guard checks (:class:`RunOptions` does them for
+    :func:`measure_at_load`); *derived_seed* is used as-is.
     """
     if trace_dir is not None and not trace:
         trace = True
@@ -549,6 +489,48 @@ def sweep_config(**settings: Any) -> Dict[str, Any]:
     return {key: _config_token(value) for key, value in sorted(settings.items())}
 
 
+def run_sweep(
+    point: Callable[[Any], Any],
+    items: Sequence[Any],
+    options: RunOptions,
+    *,
+    experiment: str,
+    config: Dict[str, Any],
+    keys: Sequence[str],
+    seeds: Sequence[int],
+) -> List[Any]:
+    """Map *point* over *items* the way *options* asks.
+
+    Without ``run_dir`` that is a plain :func:`~repro.runner.parallel_map`
+    fan-out. With it, every completed point is journaled under its
+    content key (*keys*, hashed from *experiment*, the point, its seed
+    and the sweep *config*) and ``resume=True`` reuses journaled points
+    instead of recomputing them, so a killed sweep restarted with the
+    same arguments computes exactly the missing points. SLO verdicts
+    and shard recovery/sync counters fold into the manifest.
+    """
+    if options.run_dir is None:
+        return parallel_map(
+            point, items, jobs=options.jobs, retries=options.retries,
+            timeout=options.timeout,
+        )
+    summaries = (
+        [shard_recovery_manifest_summary, shard_sync_manifest_summary]
+        if options.shards > 1 else []
+    )
+    if options.slo:
+        summaries.append(slo_manifest_summary)
+    return durable_map(
+        point, items,
+        store=RunStore(options.run_dir, experiment, config=config),
+        keys=keys, seeds=seeds, resume=options.resume, jobs=options.jobs,
+        retries=options.retries, timeout=options.timeout,
+        manifest_extra=(
+            _combined_manifest_extra(*summaries) if summaries else None
+        ),
+    )
+
+
 def load_latency_sweep(
     build_world: Callable[..., World],
     loads: Sequence[float],
@@ -556,88 +538,37 @@ def load_latency_sweep(
     warmup: float = 0.25,
     mix: Optional[RequestMix] = None,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
     experiment: str = "load_latency",
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> List[SweepPoint]:
     """One :func:`measure_at_load` per offered load, ascending.
 
-    With ``jobs > 1`` the points run in parallel worker processes
-    (each point already builds its own world from its own derived
-    seed, so the results are identical to the serial run). *build_world*
-    and *mix* must then be picklable — every builder in
+    With ``options.jobs > 1`` the points run in parallel worker
+    processes (each point already builds its own world from its own
+    derived seed, so the results are identical to the serial run).
+    *build_world* and *mix* must then be picklable — every builder in
     :mod:`repro.apps` is.
 
-    With *run_dir* set, every completed point is journaled to that
-    directory under a content key covering (*experiment*, the offered
-    load, the derived seed, the sweep config); ``resume=True`` reuses
-    journaled points instead of recomputing them, so a killed sweep
-    restarted with the same arguments computes exactly the missing
-    points — and, because seeds are derived per point, merges into a
-    result byte-identical to an uninterrupted run. *retries*/*timeout*
-    are the self-healing knobs of :func:`~repro.runner.parallel_map`.
-
-    *trace*/*trace_dir* thread through to every point: traces export
-    per load into *trace_dir*. Enabling tracing joins the sweep config
-    (so journaled untraced points are not silently reused without
-    producing trace files), but *trace_dir* itself does not — moving
-    the output directory never invalidates a journal.
+    With ``options.run_dir`` set, points journal under keys covering
+    (*experiment*, the offered load, the derived seed, the sweep
+    config) — see :func:`run_sweep` — and, because seeds are derived
+    per point, a resumed sweep merges into a result byte-identical to
+    an uninterrupted run. Every other knob threads through to each
+    point; the sweep config takes :meth:`RunOptions.journal_config`.
     """
     loads = sorted(loads)
-    if trace_dir is not None and not trace:
-        trace = True
-    # Sharded points mirror their replay journals into the run
-    # directory so a post-mortem can verify recovery digests.
-    shard_journal_dir = (
-        Path(run_dir) / "shard_journals"
-        if run_dir is not None and shards > 1
-        else None
-    )
     point = functools.partial(
         measure_at_load, build_world, duration=duration, warmup=warmup,
-        mix=mix, seed=seed, fault_plan=fault_plan, audit=audit,
-        trace=trace, trace_dir=trace_dir, slo=slo,
-        scrape_interval=scrape_interval, shards=shards,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
-        **world_kwargs,
+        mix=mix, seed=seed, options=options, **world_kwargs,
     )
-    if run_dir is None:
-        return parallel_map(
-            point, loads, jobs=jobs, retries=retries, timeout=timeout
-        )
     config = sweep_config(
         builder=getattr(build_world, "__name__", repr(build_world)),
         duration=duration,
         warmup=warmup,
         mix=mix,
-        fault_plan=fault_plan,
-        audit=audit,
-        **({"trace": trace} if trace else {}),
-        **({"slo": [s.name for s in resolve_slos(slo, window=1.0)]}
-           if slo else {}),
-        # Like trace: scraping joins the config only when on, so the
-        # journal keys of existing scrape-off sweeps never change (and
-        # a scraped rerun doesn't silently reuse timeline-less points).
-        **({"scrape": scrape_interval} if scrape_interval is not None
-           else {}),
-        # shards joins the config only when sharded — the journal keys
-        # of existing shards=1 sweeps must not change, and sharded
-        # points are a different (tolerance-bearing) measurement.
-        **({"shards": shards} if shards != 1 else {}),
+        fault_plan=options.fault_plan,
+        **options.journal_config(),
         **world_kwargs,
     )
     seeds = [derive_seed(seed, float(qps)) for qps in loads]
@@ -645,19 +576,9 @@ def load_latency_sweep(
         point_key(experiment, {"qps": float(qps)}, derived, config)
         for qps, derived in zip(loads, seeds)
     ]
-    store = RunStore(run_dir, experiment, config=config)
-    summaries = (
-        [shard_recovery_manifest_summary, shard_sync_manifest_summary]
-        if shards > 1 else []
-    )
-    if slo:
-        summaries.append(slo_manifest_summary)
-    return durable_map(
-        point, loads, store=store, keys=keys, seeds=seeds,
-        resume=resume, jobs=jobs, retries=retries, timeout=timeout,
-        manifest_extra=(
-            _combined_manifest_extra(*summaries) if summaries else None
-        ),
+    return run_sweep(
+        point, loads, options, experiment=experiment, config=config,
+        keys=keys, seeds=seeds,
     )
 
 

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from ..apps.base import World, new_world
 from ..controlplane import (
@@ -41,14 +40,7 @@ from ..errors import ConfigError
 from ..faults import FaultInjector, FaultPlan
 from ..hardware import Machine
 from ..resilience import ResiliencePolicy, RetryPolicy
-from ..runner import (
-    RunStore,
-    derive_seed,
-    durable_map,
-    parallel_map,
-    point_key,
-    register_result_type,
-)
+from ..runner import derive_seed, point_key, register_result_type
 from ..service import (
     ExecutionPath,
     Microservice,
@@ -62,10 +54,16 @@ from ..telemetry.slo import LATENCY, SLO
 from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .audit import audit_client
-from .loadsweep import sweep_config
+from .loadsweep import run_sweep, sweep_config
+from .options import RunOptions
 
 #: The tier every orchestrated world serves.
 SERVICE = "web"
+
+#: The knobs each study honours (see
+#: :data:`repro.experiments.options.CAPABILITIES`).
+ROLLOUT_CAPABILITIES = frozenset({"jobs", "run_dir", "audit"})
+NODE_FAILURE_CAPABILITIES = ROLLOUT_CAPABILITIES | {"fault_plan"}
 
 
 @dataclass
@@ -278,11 +276,7 @@ def node_failure_experiment(
     fail_at: float = 0.5,
     machine: str = "node0",
     seed: int = 0,
-    jobs: int = 1,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
-    fault_plan: Optional[FaultPlan] = None,
-    audit: bool = False,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> List[NodeFailurePoint]:
     """The self-healing study: one machine-kill world per seed.
@@ -290,27 +284,27 @@ def node_failure_experiment(
     *seed* offsets the whole sweep (each point derives its own world
     seed), so ``--seed`` decorrelates every world at once while any
     single point stays reproducible in isolation. Results journal into
-    *run_dir* under content keys, exactly like the load sweeps.
+    ``options.run_dir`` under content keys, exactly like the load
+    sweeps; ``options.fault_plan`` replaces the default machine kill.
     """
+    options.require(NODE_FAILURE_CAPABILITIES, "the node-failure study")
     point = functools.partial(
         measure_node_failure, qps=qps, duration=duration, fail_at=fail_at,
-        machine=machine, fault_plan=fault_plan, audit=audit, **world_kwargs,
+        machine=machine, fault_plan=options.fault_plan,
+        audit=options.audit, **world_kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
-    if run_dir is None:
-        return parallel_map(point, items, jobs=jobs)
     config = sweep_config(
         experiment="node_failure", qps=qps, duration=duration,
-        fail_at=fail_at, machine=machine, fault_plan=fault_plan,
-        audit=audit, **world_kwargs,
+        fail_at=fail_at, machine=machine, fault_plan=options.fault_plan,
+        **options.journal_config(), **world_kwargs,
     )
     keys = [
         point_key("node_failure", {"seed": s}, s, config) for s in items
     ]
-    store = RunStore(run_dir, "node_failure", config=config)
-    return durable_map(
-        point, items, store=store, keys=keys, seeds=items,
-        resume=resume, jobs=jobs,
+    return run_sweep(
+        point, items, options, experiment="node_failure", config=config,
+        keys=keys, seeds=items,
     )
 
 
@@ -411,10 +405,7 @@ def rollout_experiment(
     regression: float = 10.0,
     strategy: str = "canary",
     seed: int = 0,
-    jobs: int = 1,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
-    audit: bool = False,
+    options: RunOptions = RunOptions(),
     **kwargs,
 ) -> List[RolloutPoint]:
     """The SLO-gated deploy study: one rollout world per seed.
@@ -423,20 +414,18 @@ def rollout_experiment(
     regressed and every seed should end ``rolled_back`` with the stable
     version still serving; ``regression=1.0`` is the control — a clean
     candidate that promotes."""
+    options.require(ROLLOUT_CAPABILITIES, "the rollout study")
     point = functools.partial(
         measure_rollout, regression=regression, strategy=strategy,
-        audit=audit, **kwargs,
+        audit=options.audit, **kwargs,
     )
     items = [derive_seed(seed, int(s)) for s in seeds]
-    if run_dir is None:
-        return parallel_map(point, items, jobs=jobs)
     config = sweep_config(
         experiment="rollout", regression=regression, strategy=strategy,
-        audit=audit, **kwargs,
+        **options.journal_config(), **kwargs,
     )
     keys = [point_key("rollout", {"seed": s}, s, config) for s in items]
-    store = RunStore(run_dir, "rollout", config=config)
-    return durable_map(
-        point, items, store=store, keys=keys, seeds=items,
-        resume=resume, jobs=jobs,
+    return run_sweep(
+        point, items, options, experiment="rollout", config=config,
+        keys=keys, seeds=items,
     )

@@ -15,11 +15,13 @@ import numpy as np
 
 from ..apps import two_tier
 from ..apps.base import World
+from ..errors import ConfigError
 from ..telemetry import TimeSeries, WindowedLatency
 from ..telemetry.slo import SLO, SLOAlert, SLOMonitor, parse_slo
 from ..testbed import RealismConfig
 from ..power import PowerManager
 from ..workload import DiurnalPattern, OpenLoopClient
+from .options import RunOptions
 
 
 @dataclass
@@ -145,6 +147,23 @@ def run_power_experiment(
         slo_alerts=(
             list(slo_monitor.alerts) if slo_monitor is not None else []
         ),
+    )
+
+
+def fig16_timeline(
+    options: RunOptions = RunOptions(), **kwargs
+) -> PowerExperimentResult:
+    """Fig 16 as the registry runs it: the options' latency SLO, when
+    one is given, drives Algorithm 1 (see :func:`run_power_experiment`).
+    The controller has one QoS target, so two or more SLOs are a
+    :class:`ConfigError`, as is a non-latency one."""
+    if len(options.slo) > 1:
+        raise ConfigError(
+            f"fig16 drives power management from one latency SLO; "
+            f"got {len(options.slo)}"
+        )
+    return run_power_experiment(
+        slo=options.slo[0] if options.slo else None, **kwargs
     )
 
 

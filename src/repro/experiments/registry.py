@@ -1,20 +1,20 @@
 """Registry mapping paper experiment ids to their runners.
 
 The per-experiment index of DESIGN.md SS3 in executable form: each
-entry knows which figure/table it regenerates and which callable runs
-it. ``benchmarks/`` drives these; users can too::
+entry knows which figure/table it regenerates, which callable runs it,
+and which run knobs (:data:`~repro.experiments.options.CAPABILITIES`)
+that callable honours. ``benchmarks/`` drives these; users can too::
 
     from repro.experiments import registry
-    result = registry.get("fig8").run()
+    from repro.experiments.options import RunOptions
+    result = registry.get("fig8").run(RunOptions(jobs=4))
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, FrozenSet, List
 
-from ..errors import ReproError
 from . import (
     comparison,
     orchestration,
@@ -23,166 +23,40 @@ from . import (
     tail_at_scale,
     validation,
 )
+from .options import RunOptions
+
+#: What every validation figure's sweep pair honours.
+_SWEEP = frozenset({"jobs", "run_dir", "audit", "trace_dir"})
+#: ...plus what the figures whose builders carry a sharded runner add.
+_SHARDED_SWEEP = _SWEEP | {"slo", "scrape", "shards", "shard_tuning"}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One reproducible evaluation artifact."""
+    """One reproducible evaluation artifact.
+
+    *capabilities* names the run knobs the runner honours; a runner
+    that declares any takes the whole :class:`RunOptions` as
+    ``options=``, one that declares none is called without it.
+    """
 
     exp_id: str
     paper_ref: str
     title: str
     runner: Callable[..., Any]
+    capabilities: FrozenSet[str] = frozenset()
 
-    def _accepts(self, name: str) -> bool:
-        return name in inspect.signature(self.runner).parameters
+    def run(self, options: RunOptions = RunOptions(), **kwargs: Any) -> Any:
+        """Run the experiment under *options*; *kwargs* go to the runner.
 
-    @property
-    def supports_jobs(self) -> bool:
-        """Whether the runner can fan work out across processes."""
-        return self._accepts("jobs")
-
-    @property
-    def supports_run_dir(self) -> bool:
-        """Whether the runner checkpoints to a journaled run directory."""
-        return self._accepts("run_dir")
-
-    @property
-    def supports_audit(self) -> bool:
-        """Whether the runner can run the conservation audit."""
-        return self._accepts("audit")
-
-    @property
-    def supports_trace_dir(self) -> bool:
-        """Whether the runner can export request traces."""
-        return self._accepts("trace_dir")
-
-    @property
-    def supports_slo(self) -> bool:
-        """Whether the runner can evaluate declarative SLOs live."""
-        return self._accepts("slo")
-
-    @property
-    def supports_scrape(self) -> bool:
-        """Whether the runner can sample sim-time timelines
-        (``--scrape-interval``)."""
-        return self._accepts("scrape_interval")
-
-    @property
-    def supports_fault_plan(self) -> bool:
-        """Whether the runner can arm an injected fault plan."""
-        return self._accepts("fault_plan")
-
-    @property
-    def supports_shards(self) -> bool:
-        """Whether the runner can use the sharded parallel core."""
-        return self._accepts("shards")
-
-    @property
-    def supports_shard_tuning(self) -> bool:
-        """Whether the runner exposes the shard-supervisor knobs
-        (window timeout, restart budget)."""
-        return self._accepts("shard_timeout")
-
-    def run(
-        self,
-        jobs: int = 1,
-        run_dir: Any = None,
-        resume: bool = True,
-        audit: bool = False,
-        trace_dir: Any = None,
-        trace_sample: float = 1.0,
-        slo: Any = None,
-        scrape_interval: Any = None,
-        fault_plan: Any = None,
-        shards: int = 1,
-        shard_timeout: Any = None,
-        shard_restarts: Any = None,
-        **kwargs: Any,
-    ) -> Any:
-        """Run the experiment.
-
-        ``jobs`` fans sweeps out over processes, ``run_dir``/``resume``
-        journal completed points for durable restarts, and ``audit``
-        turns on the request-conservation check, and ``trace_dir``
-        exports sampled request traces (at ``trace_sample``) — each
-        forwarded only where the runner supports it (inherently serial
-        experiments — timelines, single simulations — silently ignore
-        ``jobs``; asking an unsupported runner to checkpoint, audit or
-        trace is an error, not a silent no-op)."""
-        if self.supports_jobs:
-            kwargs.setdefault("jobs", jobs)
-        if run_dir is not None:
-            if not self.supports_run_dir:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support run_dir"
-                )
-            kwargs.setdefault("run_dir", run_dir)
-            kwargs.setdefault("resume", resume)
-        if audit:
-            if not self.supports_audit:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support audit"
-                )
-            kwargs.setdefault("audit", True)
-        if trace_dir is not None:
-            if not self.supports_trace_dir:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support trace_dir"
-                )
-            kwargs.setdefault("trace_dir", trace_dir)
-            if self._accepts("trace_sample"):
-                kwargs.setdefault("trace_sample", trace_sample)
-        if slo is not None:
-            if not self.supports_slo:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support slo"
-                )
-            kwargs.setdefault("slo", slo)
-        if scrape_interval is not None:
-            if not self.supports_scrape:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support "
-                    f"scrape_interval"
-                )
-            kwargs.setdefault("scrape_interval", scrape_interval)
-        if fault_plan is not None:
-            if not self.supports_fault_plan:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support fault_plan"
-                )
-            kwargs.setdefault("fault_plan", fault_plan)
-        # Shard gating, untangled: ``shards=1`` is the default single-core
-        # path and is ALWAYS accepted, capable runner or not — only a
-        # request for actual parallelism (shards >= 2) requires runner
-        # support. The supervisor knobs ride on top of parallelism, so
-        # they are checked against the *requested* shard count, never
-        # against runner capability first.
-        if shards < 1:
-            raise ReproError(f"--shards must be >= 1, got {shards}")
-        if shards > 1:
-            if not self.supports_shards:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not support the "
-                    f"sharded parallel core (--shards)"
-                )
-            kwargs.setdefault("shards", shards)
-        if shard_timeout is not None or shard_restarts is not None:
-            if shards == 1:
-                raise ReproError(
-                    "--shard-timeout/--shard-restarts tune the shard "
-                    "supervisor; they need --shards N"
-                )
-            if not self.supports_shard_tuning:
-                raise ReproError(
-                    f"experiment {self.exp_id!r} does not expose the "
-                    f"shard supervisor knobs"
-                )
-            if shard_timeout is not None:
-                kwargs.setdefault("shard_timeout", shard_timeout)
-            if shard_restarts is not None:
-                kwargs.setdefault("shard_restarts", shard_restarts)
-        return self.runner(**kwargs)
+        Asking for a knob the runner does not honour is one error that
+        names every such knob, never a silent no-op — except ``jobs``,
+        which inherently serial experiments (timelines, single
+        simulations) ignore."""
+        options.require(self.capabilities, f"experiment {self.exp_id!r}")
+        if not self.capabilities:
+            return self.runner(**kwargs)
+        return self.runner(options=options, **kwargs)
 
 
 _SPECS: List[ExperimentSpec] = [
@@ -190,31 +64,37 @@ _SPECS: List[ExperimentSpec] = [
         "fig5", "Figure 5",
         "2-tier NGINX-memcached validation across concurrency configs",
         validation.fig5_two_tier,
+        _SHARDED_SWEEP,
     ),
     ExperimentSpec(
         "fig6", "Figure 6",
         "3-tier NGINX-memcached-MongoDB validation",
         validation.fig6_three_tier,
+        _SWEEP,
     ),
     ExperimentSpec(
         "fig8", "Figure 8",
         "Load balancing validation (scale-out 4/8/16)",
         validation.fig8_load_balancing,
+        _SWEEP,
     ),
     ExperimentSpec(
         "fig10", "Figure 10",
         "Request fanout validation (fanout 4..16)",
         validation.fig10_fanout,
+        _SWEEP,
     ),
     ExperimentSpec(
         "fig12a", "Figure 12(a)",
         "Apache Thrift echo RPC validation",
         validation.fig12a_thrift,
+        _SWEEP,
     ),
     ExperimentSpec(
         "fig12b", "Figure 12(b)",
         "Social Network end-to-end validation",
         validation.fig12b_social_network,
+        _SHARDED_SWEEP,
     ),
     ExperimentSpec(
         "fig13_nginx", "Figure 13 (left)",
@@ -230,6 +110,7 @@ _SPECS: List[ExperimentSpec] = [
         "fig14", "Figure 14",
         "Tail at scale: fanout with slow servers",
         tail_at_scale.tail_at_scale_sweep,
+        tail_at_scale.CAPABILITIES,
     ),
     ExperimentSpec(
         "retry_storm", "beyond the paper",
@@ -248,17 +129,20 @@ _SPECS: List[ExperimentSpec] = [
         "Self-healing: machine kill, rescheduling onto survivors, "
         "goodput recovery",
         orchestration.node_failure_experiment,
+        orchestration.NODE_FAILURE_CAPABILITIES,
     ),
     ExperimentSpec(
         "rollout", "beyond the paper",
         "SLO-gated canary deploys: regressed versions roll back, "
         "clean ones promote",
         orchestration.rollout_experiment,
+        orchestration.ROLLOUT_CAPABILITIES,
     ),
     ExperimentSpec(
         "fig16", "Figure 16",
         "Power management timeline under diurnal load",
-        power_mgmt.run_power_experiment,
+        power_mgmt.fig16_timeline,
+        frozenset({"slo"}),
     ),
     ExperimentSpec(
         "table3", "Table III",

@@ -12,9 +12,9 @@ fraction of randomly-selected servers by 10x."
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from ..apps.base import World, add_client_machine, new_world
 from ..distributions import Deterministic, Exponential
@@ -28,20 +28,23 @@ from ..service import (
     SingleQueue,
     Stage,
 )
-from ..runner import (
-    RunStore,
-    durable_map,
-    parallel_map,
-    point_key,
-    register_result_type,
-)
+from ..runner import point_key, register_result_type
 from ..telemetry.export import write_otlp, write_perfetto
 from ..telemetry.slo import SLOMonitor
 from ..telemetry.tracing import TraceConfig
 from ..topology import PathNode, PathTree
 from ..workload import OpenLoopClient
 from .audit import audit_client
-from .loadsweep import SLOSpec, resolve_slos, slo_manifest_summary
+from .loadsweep import run_sweep
+from .options import RunOptions, resolve_slos
+
+#: The knobs the tail-at-scale study honours (see
+#: :data:`repro.experiments.options.CAPABILITIES`): everything but
+#: timeline scraping.
+CAPABILITIES = frozenset({
+    "jobs", "run_dir", "audit", "trace_dir", "slo", "fault_plan",
+    "shards", "shard_tuning",
+})
 
 
 def build_fanout_cluster(
@@ -159,39 +162,31 @@ def measure_tail_at_scale(
     num_requests: int = 300,
     slow_factor: float = 10.0,
     seed: int = 0,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    shards: int = 1,
     network: Optional[NetworkFabric] = None,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
+    options: RunOptions = RunOptions(),
 ) -> TailAtScalePoint:
     """Drive one (cluster size, slow fraction) configuration and report
     the p50/p99 of the fan-in-synchronised end-to-end latency.
 
-    With *trace_dir* set (implies ``trace=True``), the sampled traces
-    export there as Perfetto and OTLP JSON named by the cell. *slo*
-    attaches live objectives (spec strings or :class:`SLO` objects)
-    whose verdicts ride the returned point.
+    This is where *options* unpack for a cell. With ``trace_dir`` set
+    the sampled traces export there as Perfetto and OTLP JSON named by
+    the cell; ``slo`` objectives ride the returned point.
 
     ``shards > 1`` runs the cell on the sharded parallel core
     (:func:`repro.shard.measure_fanout_sharded`): one worker process
     per shard, synchronised by conservative time windows. Requires a
     *network* whose propagation has a positive minimum (otherwise the
     planner falls back to one shard with a ``RuntimeWarning``).
-    *audit* works under shards too — it runs the merged cross-shard
-    conservation audit on the per-shard finalize counters; *trace* and
-    *slo* remain single-simulator-only. *fault_plan* under shards may
+    ``audit`` works under shards too — it runs the merged cross-shard
+    conservation audit on the per-shard finalize counters; tracing and
+    SLOs remain single-simulator-only. ``fault_plan`` under shards may
     carry ``shard_kill``/``shard_hang`` chaos (the supervisor recovers
     and results must not change); under ``shards=1`` it arms the
     ordinary in-simulation :class:`~repro.faults.FaultInjector`.
     """
-    if shards > 1:
-        if trace or trace_dir is not None or slo is not None:
+    options.require(CAPABILITIES, "the tail-at-scale study")
+    if options.shards > 1:
+        if options.trace_dir is not None or options.slo:
             raise ReproError(
                 "shards > 1 does not support trace/slo "
                 "instrumentation yet; run those with shards=1"
@@ -199,17 +194,18 @@ def measure_tail_at_scale(
         from ..shard import measure_fanout_sharded
 
         journal_path = None
-        if shard_journal_dir is not None:
+        if options.shard_journal_dir is not None:
             journal_path = (
-                Path(shard_journal_dir)
+                options.shard_journal_dir
                 / f"shard_journal_size{cluster_size}_slow{slow_fraction:g}.jsonl"
             )
         result = measure_fanout_sharded(
             cluster_size, slow_fraction, qps=qps,
             num_requests=num_requests, slow_factor=slow_factor,
-            seed=seed, shards=shards, network=network,
-            audit=audit, fault_plan=fault_plan,
-            shard_timeout=shard_timeout, shard_restarts=shard_restarts,
+            seed=seed, shards=options.shards, network=network,
+            audit=options.audit, fault_plan=options.fault_plan,
+            shard_timeout=options.shard_timeout,
+            shard_restarts=options.shard_restarts,
             journal_path=journal_path,
         )
         return TailAtScalePoint(
@@ -222,31 +218,19 @@ def measure_tail_at_scale(
                 result["recovery"] if result["restarts"] else None
             ),
         )
-    if fault_plan is not None and fault_plan.shard_faults():
-        raise ReproError(
-            "fault plan carries shard_kill/shard_hang faults, which "
-            "target the sharded execution layer; run with --shards N"
-        )
-    if shard_timeout is not None or shard_restarts is not None:
-        raise ReproError(
-            "shard_timeout/shard_restarts tune the shard supervisor; "
-            "they need shards > 1"
-        )
-    if trace_dir is not None and not trace:
-        trace = True
     world = build_fanout_cluster(
         cluster_size, slow_fraction, slow_factor, seed=seed,
         network=network,
     )
-    if fault_plan is not None:
+    if options.fault_plan is not None:
         from ..faults import FaultInjector
 
         FaultInjector(
             world.sim, world.deployment, world.cluster.network,
-            fault_plan, cluster=world.cluster,
+            options.fault_plan, cluster=world.cluster,
         ).arm()
-    if trace:
-        world.dispatcher.trace = trace
+    if options.point_trace:
+        world.dispatcher.trace = options.point_trace
     client = OpenLoopClient(
         world.sim, world.dispatcher, arrivals=qps, max_requests=num_requests
     )
@@ -254,7 +238,7 @@ def measure_tail_at_scale(
     # num_requests resolves), so size the evaluation window from the
     # expected span of the run.
     expected_span = max(0.1, num_requests / max(qps, 1e-9) / 4.0)
-    slos = resolve_slos(slo, window=expected_span)
+    slos = resolve_slos(options.slo, window=expected_span)
     slo_monitor = None
     if slos:
         slo_monitor = SLOMonitor(
@@ -265,13 +249,13 @@ def measure_tail_at_scale(
     clock_start = world.sim.now
     client.start()
     world.sim.run()
-    if audit:
+    if options.audit:
         audit_client(
             client, world.sim, dispatcher=world.dispatcher,
             clock_start=clock_start,
         )
-    if trace and trace_dir is not None:
-        base = Path(trace_dir)
+    if options.trace_dir is not None:
+        base = Path(options.trace_dir)
         base.mkdir(parents=True, exist_ok=True)
         stem = f"size{cluster_size}_slow{slow_fraction:g}"
         traces = world.dispatcher.tracer.traces
@@ -289,30 +273,11 @@ def measure_tail_at_scale(
 
 
 def _measure_grid_point(
-    size_and_fraction: Tuple[int, float],
-    qps: float,
-    num_requests: int,
-    seed: int,
-    audit: bool = False,
-    trace: Union[bool, TraceConfig] = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    slo: Optional[SLOSpec] = None,
-    shards: int = 1,
-    network: Optional[NetworkFabric] = None,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
-    shard_journal_dir: Optional[Union[str, Path]] = None,
+    size_and_fraction: Tuple[int, float], **kwargs
 ) -> TailAtScalePoint:
-    """Picklable per-cell worker for the parallel grid sweep."""
+    """Picklable per-cell worker for the grid sweep: unpacks the cell."""
     size, frac = size_and_fraction
-    return measure_tail_at_scale(
-        size, frac, qps=qps, num_requests=num_requests, seed=seed,
-        audit=audit, trace=trace, trace_dir=trace_dir, slo=slo,
-        shards=shards, network=network, fault_plan=fault_plan,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
-    )
+    return measure_tail_at_scale(size, frac, **kwargs)
 
 
 def tail_at_scale_sweep(
@@ -321,98 +286,52 @@ def tail_at_scale_sweep(
     qps: float = 30.0,
     num_requests: int = 300,
     seed: int = 0,
-    jobs: int = 1,
-    run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = True,
     experiment: str = "fig14",
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    audit: bool = False,
-    trace_dir: Optional[Union[str, Path]] = None,
-    trace_sample: float = 1.0,
-    slo: Optional[SLOSpec] = None,
-    shards: int = 1,
     network: Optional[NetworkFabric] = None,
-    fault_plan=None,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions = RunOptions(),
 ):
     """The full Fig 14 grid. Each (size, fraction) cell simulates an
-    independent cluster, so ``jobs > 1`` fans the grid out across
-    processes with identical results.
+    independent cluster, so ``options.jobs > 1`` fans the grid out
+    across processes with identical results.
 
-    With *run_dir* set, finished cells are journaled there and
-    ``resume=True`` skips them on restart — see
-    :mod:`repro.runner.runstore`. With *trace_dir* set, every cell
-    exports its sampled traces (at *trace_sample*) there as
-    Perfetto/OTLP JSON. ``shards > 1`` runs every cell on the sharded
-    parallel core (see :func:`measure_tail_at_scale`); combine with
-    ``jobs=1``, since each cell then owns one worker process per
-    shard.
+    With ``options.run_dir`` set, finished cells are journaled there
+    and ``resume=True`` skips them on restart — see
+    :mod:`repro.runner.runstore`. With ``trace_dir`` set, every cell
+    exports its sampled traces there as Perfetto/OTLP JSON (at the
+    options' :class:`TraceConfig`, default full sampling).
+    ``shards > 1`` runs every cell on the sharded parallel core (see
+    :func:`measure_tail_at_scale`); combine with ``jobs=1``, since each
+    cell then owns one worker process per shard.
     """
     grid = [
         (size, frac) for frac in slow_fractions for size in cluster_sizes
     ]
-    trace = (
-        TraceConfig(sample_rate=trace_sample) if trace_dir is not None
-        else False
-    )
-    shard_journal_dir = (
-        Path(run_dir) / "shard_journals"
-        if run_dir is not None and shards > 1
-        else None
-    )
+    if options.trace_dir is not None and options.trace is None:
+        # The grid always traced at an explicit TraceConfig, whose repr
+        # is in the journal keys of existing traced runs.
+        options = replace(options, trace=TraceConfig())
     cell = functools.partial(
         _measure_grid_point, qps=qps, num_requests=num_requests, seed=seed,
-        audit=audit, trace=trace, trace_dir=trace_dir, slo=slo,
-        shards=shards, network=network, fault_plan=fault_plan,
-        shard_timeout=shard_timeout, shard_restarts=shard_restarts,
-        shard_journal_dir=shard_journal_dir,
+        network=network, options=options,
     )
-    if run_dir is None:
-        return parallel_map(
-            cell, grid, jobs=jobs, retries=retries, timeout=timeout
-        )
-    config = {
-        "qps": qps, "num_requests": num_requests, "audit": audit,
-    }
     # Journal-key stability: older journals hashed a config without
-    # these knobs, so only non-default values contribute. Supervision
-    # tuning (shard_timeout/shard_restarts) and journal mirroring are
-    # operational knobs that cannot change results, so they never join.
-    if shards != 1:
-        config["shards"] = shards
+    # these knobs, so only non-default values contribute (see
+    # RunOptions.journal_config).
+    config = {
+        "qps": qps, "num_requests": num_requests,
+        **options.journal_config(),
+    }
     if network is not None:
         config["network"] = repr(network)
-    if trace:
-        config["trace"] = repr(trace)
-    if slo:
-        config["slo"] = [s.name for s in resolve_slos(slo, window=1.0)]
-    if fault_plan is not None and len(fault_plan):
-        config["fault_plan"] = repr(fault_plan.sorted())
+    if options.fault_plan is not None and len(options.fault_plan):
+        config["fault_plan"] = repr(options.fault_plan.sorted())
     keys = [
         point_key(
             experiment, {"size": size, "frac": frac}, seed, config
         )
         for size, frac in grid
     ]
-    store = RunStore(run_dir, experiment, config=config)
-    summaries = []
-    if shards > 1:
-        from .loadsweep import shard_recovery_manifest_summary
-
-        summaries.append(shard_recovery_manifest_summary)
-    if slo:
-        summaries.append(slo_manifest_summary)
-    if summaries:
-        from .loadsweep import _combined_manifest_extra
-
-        manifest_extra = _combined_manifest_extra(*summaries)
-    else:
-        manifest_extra = None
-    return durable_map(
-        cell, grid, store=store, keys=keys,
-        seeds=[seed] * len(grid), resume=resume, jobs=jobs,
-        retries=retries, timeout=timeout,
-        manifest_extra=manifest_extra,
+    return run_sweep(
+        cell, grid, options, experiment=experiment, config=config,
+        keys=keys, seeds=[seed] * len(grid),
     )

@@ -9,8 +9,9 @@ windows for higher-fidelity runs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..apps import (
     fanout,
@@ -23,10 +24,9 @@ from ..apps import (
 from ..telemetry.tracing import TraceConfig
 from ..testbed import RealismConfig
 from .loadsweep import SweepPoint, load_latency_sweep
+from .options import RunOptions
 
 SweepPair = Dict[str, List[SweepPoint]]
-
-RunDir = Optional[Union[str, Path]]
 
 
 def _real_and_sim(
@@ -35,57 +35,41 @@ def _real_and_sim(
     duration: float,
     warmup: float,
     seed: int,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
     experiment: str = "pair",
-    audit: bool = False,
-    retries: int = 0,
-    timeout: Optional[float] = None,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
-    slo: Optional[str] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions = RunOptions(),
     **world_kwargs,
 ) -> SweepPair:
     """Run the same sweep with and without the realism layer.
 
-    Both sides share *run_dir* when given: the journal is append-only
-    and keys embed ``{experiment}/sim`` vs ``{experiment}/real``, so a
-    whole multi-sweep figure checkpoints into one directory. With
-    *trace_dir* set, both sides export per-load Perfetto/OTLP traces
-    under ``{trace_dir}/{experiment}/{side}``, sampled at
-    *trace_sample*. With ``shards > 1`` both sides run on the sharded
-    parallel core through the builder's adapter runner
-    (:mod:`repro.shard.adapter`); telemetry still merges at the root.
+    Both sides share ``options.run_dir`` when given: the journal is
+    append-only and keys embed ``{experiment}/sim`` vs
+    ``{experiment}/real``, so a whole multi-sweep figure checkpoints
+    into one directory. With ``trace_dir`` set, both sides export
+    per-load Perfetto/OTLP traces under
+    ``{trace_dir}/{experiment}/{side}``, sampled per the options'
+    :class:`TraceConfig` (full sampling by default). With
+    ``shards > 1`` both sides run on the sharded parallel core through
+    the builder's adapter runner (:mod:`repro.shard.adapter`);
+    telemetry still merges at the root.
     """
-    durable = dict(
-        run_dir=run_dir, resume=resume, audit=audit, retries=retries,
-        timeout=timeout, slo=slo, scrape_interval=scrape_interval,
-        shards=shards, shard_timeout=shard_timeout,
-        shard_restarts=shard_restarts,
-    )
 
-    def tracing(side: str) -> dict:
-        if trace_dir is None:
-            return {}
-        return {
-            "trace": TraceConfig(sample_rate=trace_sample),
-            "trace_dir": Path(trace_dir) / experiment / side,
-        }
+    def side(name: str) -> RunOptions:
+        if options.trace_dir is None:
+            return options
+        return replace(
+            options,
+            trace=options.trace or TraceConfig(),
+            trace_dir=Path(options.trace_dir) / experiment / name,
+        )
 
     sim_points = load_latency_sweep(
-        build_world, loads, duration, warmup, seed=seed, jobs=jobs,
-        experiment=f"{experiment}/sim", **durable, **tracing("sim"),
-        **world_kwargs
+        build_world, loads, duration, warmup, seed=seed,
+        experiment=f"{experiment}/sim", options=side("sim"), **world_kwargs
     )
     real_points = load_latency_sweep(
         build_world, loads, duration, warmup, seed=seed + 7919,
-        jobs=jobs, experiment=f"{experiment}/real", **durable,
-        **tracing("real"), realism=RealismConfig(), **world_kwargs,
+        experiment=f"{experiment}/real", options=side("real"),
+        realism=RealismConfig(), **world_kwargs,
     )
     return {"sim": sim_points, "real": real_points}
 
@@ -101,17 +85,7 @@ def fig5_two_tier(
     duration: float = 0.4,
     warmup: float = 0.1,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
-    slo: Optional[str] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions = RunOptions(),
 ) -> Dict[str, SweepPair]:
     """Fig 5: 2-tier load-latency across thread/process configs."""
     loads_by_processes = loads_by_processes or {
@@ -127,18 +101,8 @@ def fig5_two_tier(
             duration,
             warmup,
             seed,
-            jobs=jobs,
-            run_dir=run_dir,
-            resume=resume,
-            audit=audit,
-            trace_dir=trace_dir,
-            trace_sample=trace_sample,
-            slo=slo,
-            scrape_interval=scrape_interval,
-            shards=shards,
-            shard_timeout=shard_timeout,
-            shard_restarts=shard_restarts,
             experiment=f"fig5/{key}",
+            options=options,
             nginx_processes=nginx_procs,
             memcached_threads=mc_threads,
         )
@@ -150,18 +114,11 @@ def fig6_three_tier(
     duration: float = 0.6,
     warmup: float = 0.15,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
+    options: RunOptions = RunOptions(),
 ) -> SweepPair:
     """Fig 6: 3-tier (NGINX-memcached-MongoDB) validation."""
     return _real_and_sim(three_tier, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, experiment="fig6")
+                         experiment="fig6", options=options)
 
 
 def fig8_load_balancing(
@@ -170,12 +127,7 @@ def fig8_load_balancing(
     duration: float = 0.3,
     warmup: float = 0.08,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
+    options: RunOptions = RunOptions(),
 ) -> Dict[int, SweepPair]:
     """Fig 8: p99 vs load for each scale-out factor."""
     loads_by_scale = loads_by_scale or {
@@ -186,9 +138,7 @@ def fig8_load_balancing(
     return {
         so: _real_and_sim(
             load_balanced, loads_by_scale[so], duration, warmup, seed,
-            jobs=jobs, run_dir=run_dir, resume=resume, audit=audit,
-            trace_dir=trace_dir, trace_sample=trace_sample,
-            experiment=f"fig8/scale{so}", scale_out=so,
+            experiment=f"fig8/scale{so}", options=options, scale_out=so,
         )
         for so in scale_outs
     }
@@ -200,20 +150,14 @@ def fig10_fanout(
     duration: float = 0.4,
     warmup: float = 0.1,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
+    options: RunOptions = RunOptions(),
 ) -> Dict[int, SweepPair]:
     """Fig 10: p99 vs load for each fanout factor."""
     return {
         fo: _real_and_sim(
-            fanout, loads, duration, warmup, seed, jobs=jobs,
-            run_dir=run_dir, resume=resume, audit=audit,
-            trace_dir=trace_dir, trace_sample=trace_sample,
-            experiment=f"fig10/fanout{fo}", fanout_factor=fo
+            fanout, loads, duration, warmup, seed,
+            experiment=f"fig10/fanout{fo}", options=options,
+            fanout_factor=fo,
         )
         for fo in fanouts
     }
@@ -224,18 +168,11 @@ def fig12a_thrift(
     duration: float = 0.4,
     warmup: float = 0.1,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
+    options: RunOptions = RunOptions(),
 ) -> SweepPair:
     """Fig 12(a): Thrift echo RPC validation."""
     return _real_and_sim(thrift_echo, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, experiment="fig12a")
+                         experiment="fig12a", options=options)
 
 
 def fig12b_social_network(
@@ -243,24 +180,8 @@ def fig12b_social_network(
     duration: float = 0.5,
     warmup: float = 0.12,
     seed: int = 1,
-    jobs: int = 1,
-    run_dir: RunDir = None,
-    resume: bool = True,
-    audit: bool = False,
-    trace_dir: RunDir = None,
-    trace_sample: float = 1.0,
-    slo: Optional[str] = None,
-    scrape_interval: Optional[float] = None,
-    shards: int = 1,
-    shard_timeout: Optional[float] = None,
-    shard_restarts: Optional[int] = None,
+    options: RunOptions = RunOptions(),
 ) -> SweepPair:
     """Fig 12(b): Social Network end-to-end validation."""
     return _real_and_sim(social_network, loads, duration, warmup, seed,
-                         jobs=jobs, run_dir=run_dir, resume=resume,
-                         audit=audit, trace_dir=trace_dir,
-                         trace_sample=trace_sample, slo=slo,
-                         scrape_interval=scrape_interval,
-                         shards=shards, shard_timeout=shard_timeout,
-                         shard_restarts=shard_restarts,
-                         experiment="fig12b")
+                         experiment="fig12b", options=options)

@@ -83,7 +83,7 @@ from ..engine import PRIORITY_ARRIVAL
 from ..errors import ShardingError
 from ..service import Job, Request
 from ..service.job import OUTCOME_OK
-from ..telemetry.tracing import Span, SpanEvent, TraceConfig
+from ..telemetry.tracing import Span, SpanEvent, TraceConfig, trace_active
 from ..topology.dispatcher import Dispatcher, _RequestGroup
 from ..topology.path_tree import PathNode, PathTree
 from ..workload import OpenLoopClient
@@ -652,7 +652,7 @@ class WorldShardHost(ShardHost):
         self.client_machine = client_machine
         self.is_root = assignments[client_machine] == shard_id
         self._warmup = warmup
-        self.trace_active = _trace_active(trace, None)
+        self.trace_active = trace_active(trace)
         breakdown = (trace.breakdown
                      if isinstance(trace, TraceConfig) else True)
         self.dispatcher = ShardedDispatcher(
@@ -670,7 +670,7 @@ class WorldShardHost(ShardHost):
             )
             if slo:
                 from ..telemetry.slo import SLOMonitor
-                from ..experiments.loadsweep import resolve_slos
+                from ..experiments.options import resolve_slos
 
                 window = max(0.05, min(1.0, duration - (warmup or 0.0)))
                 slos = resolve_slos(slo, window)
@@ -771,20 +771,6 @@ def _span_from_tuple(fields: tuple) -> Span:
     return span
 
 
-def _trace_active(trace, trace_dir) -> bool:
-    """Does this trace/trace_dir pair actually sample anything?
-
-    A ``TraceConfig`` with sampling disabled is a no-op, not a reason
-    to block (or ship telemetry); ``trace_dir`` alone implies default
-    tracing, matching the vanilla sweep path.
-    """
-    if trace_dir is not None:
-        return True
-    if isinstance(trace, TraceConfig):
-        return trace.sample_rate > 0
-    return bool(trace)
-
-
 def build_world_shard_host(**kwargs) -> WorldShardHost:
     """Construct one adapter shard inside a worker process.
 
@@ -870,7 +856,7 @@ def sharded_load_point(
             slo=slo, scrape_interval=scrape_interval, **world_kwargs,
         )
     chaos = _shard_chaos(fault_plan, plan)
-    tracing = _trace_active(trace, trace_dir)
+    tracing = trace_active(trace, trace_dir)
     if tracing and not trace:
         trace = True  # trace_dir alone implies default tracing
     common = dict(

@@ -235,6 +235,20 @@ class TraceConfig:
             )
 
 
+def trace_active(trace: Any, trace_dir: Any = None) -> bool:
+    """Would this trace/trace_dir pair actually sample anything?
+
+    ``trace_dir`` alone implies default tracing; a :class:`TraceConfig`
+    with ``sample_rate=0`` is a configured no-op — not a reason to
+    block a knob, or to ship telemetry home from shard workers.
+    """
+    if trace_dir is not None:
+        return True
+    if isinstance(trace, TraceConfig):
+        return trace.sample_rate > 0
+    return bool(trace)
+
+
 class Tracer:
     """Owns the sampling decision and the collected traces."""
 

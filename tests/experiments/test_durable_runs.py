@@ -9,6 +9,7 @@ from repro.apps import thrift_echo
 from repro.errors import AuditError, ReproError
 from repro.experiments import load_latency_sweep, measure_at_load, registry
 from repro.experiments.audit import audit_client
+from repro.experiments.options import RunOptions
 from repro.experiments.resilience import build_single_tier
 from repro.experiments.tail_at_scale import tail_at_scale_sweep
 from repro.faults import load_fault_plan
@@ -26,16 +27,21 @@ class TestKillAndResume:
 
     def test_resume_recomputes_only_missing_points(self, tmp_path):
         run_dir = tmp_path / "run"
-        fresh = load_latency_sweep(thrift_echo, LOADS, jobs=1, **SWEEP)
+        fresh = load_latency_sweep(
+            thrift_echo, LOADS, options=RunOptions(jobs=1), **SWEEP
+        )
 
         # "Killed at point 2": only the first two loads got journaled.
         load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir),
+            **SWEEP
         )
         assert len(RunStore(run_dir)) == 2
 
         resumed = load_latency_sweep(
-            thrift_echo, LOADS, run_dir=run_dir, resume=True, **SWEEP
+            thrift_echo, LOADS, options=RunOptions(
+                run_dir=run_dir, resume=True
+            ), **SWEEP
         )
         # Exactly n - k new journal entries, and a byte-identical merge
         # of journaled and recomputed points.
@@ -48,10 +54,13 @@ class TestKillAndResume:
     def test_second_resume_is_pure_replay(self, tmp_path):
         run_dir = tmp_path / "run"
         first = load_latency_sweep(
-            thrift_echo, LOADS[:3], run_dir=run_dir, **SWEEP
+            thrift_echo, LOADS[:3], options=RunOptions(run_dir=run_dir),
+            **SWEEP
         )
         replay = load_latency_sweep(
-            thrift_echo, LOADS[:3], run_dir=run_dir, resume=True, **SWEEP
+            thrift_echo, LOADS[:3], options=RunOptions(
+                run_dir=run_dir, resume=True
+            ), **SWEEP
         )
         assert replay == first
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -60,10 +69,12 @@ class TestKillAndResume:
     def test_resume_false_ignores_journal(self, tmp_path):
         run_dir = tmp_path / "run"
         first = load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir),
+            **SWEEP
         )
         again = load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, resume=False, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir,
+                resume=False), **SWEEP
         )
         assert again == first  # deterministic, so recompute == replay
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -72,12 +83,13 @@ class TestKillAndResume:
     def test_config_change_invalidates_keys(self, tmp_path):
         run_dir = tmp_path / "run"
         load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir),
+            **SWEEP
         )
         # A different measurement window must not reuse old points.
         load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, resume=True,
-            duration=0.2, warmup=0.05,
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir,
+                resume=True), duration=0.2, warmup=0.05,
         )
         assert len(RunStore(run_dir)) == 4
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -86,13 +98,14 @@ class TestKillAndResume:
     def test_scrape_joins_sweep_config(self, tmp_path):
         run_dir = tmp_path / "run"
         load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir),
+            **SWEEP
         )
         # Enabling scraping joins the config: journaled unscraped
         # points must not be silently reused without timelines.
         scraped = load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, resume=True,
-            scrape_interval=0.05, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(run_dir=run_dir,
+                resume=True, scrape_interval=0.05), **SWEEP
         )
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["resumed_points"] == 0
@@ -100,7 +113,9 @@ class TestKillAndResume:
         # But scrape-off journal keys are unchanged from before the
         # scrape feature existed: the original points still resume.
         load_latency_sweep(
-            thrift_echo, LOADS[:2], run_dir=run_dir, resume=True, **SWEEP
+            thrift_echo, LOADS[:2], options=RunOptions(
+                run_dir=run_dir, resume=True
+            ), **SWEEP
         )
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["resumed_points"] == 2
@@ -114,10 +129,12 @@ class TestKillAndResume:
         fresh = tail_at_scale_sweep(**grid)
         tail_at_scale_sweep(
             cluster_sizes=(2, 4), slow_fractions=(0.0,), num_requests=40,
-            run_dir=run_dir,
+            options=RunOptions(run_dir=run_dir),
         )
         assert len(RunStore(run_dir)) == 2
-        resumed = tail_at_scale_sweep(run_dir=run_dir, resume=True, **grid)
+        resumed = tail_at_scale_sweep(
+            options=RunOptions(run_dir=run_dir, resume=True), **grid
+        )
         assert resumed == fresh
         assert len(RunStore(run_dir)) == 4
 
@@ -138,22 +155,22 @@ class TestFaultPlanInterop:
 
     def test_fault_sweep_parallel_resume_identity(self, plan, tmp_path):
         loads = [500, 800, 1100]
-        kwargs = dict(
-            duration=0.15, warmup=0.02, fault_plan=plan, replicas=2,
-        )
+        kwargs = dict(duration=0.15, warmup=0.02, replicas=2)
         fresh = load_latency_sweep(
-            build_single_tier, loads, jobs=1, **kwargs
+            build_single_tier, loads,
+            options=RunOptions(jobs=1, fault_plan=plan), **kwargs
         )
         run_dir = tmp_path / "run"
+        durable = RunOptions(
+            jobs=2, run_dir=run_dir, resume=True, fault_plan=plan
+        )
         fanned = load_latency_sweep(
-            build_single_tier, loads, jobs=2, run_dir=run_dir,
-            resume=True, **kwargs
+            build_single_tier, loads, options=durable, **kwargs
         )
         assert fanned == fresh
         # And resuming over the now-complete journal replays it.
         replay = load_latency_sweep(
-            build_single_tier, loads, jobs=2, run_dir=run_dir,
-            resume=True, **kwargs
+            build_single_tier, loads, options=durable, **kwargs
         )
         assert replay == fresh
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -163,13 +180,14 @@ class TestFaultPlanInterop:
         run_dir = tmp_path / "run"
         kwargs = dict(duration=0.15, warmup=0.02, replicas=2)
         load_latency_sweep(
-            build_single_tier, [500], run_dir=run_dir, **kwargs
+            build_single_tier, [500], options=RunOptions(run_dir=run_dir),
+            **kwargs
         )
         # Same load, now with faults: must journal a new point rather
         # than reuse the healthy one.
         load_latency_sweep(
-            build_single_tier, [500], run_dir=run_dir, resume=True,
-            fault_plan=plan, **kwargs
+            build_single_tier, [500], options=RunOptions(run_dir=run_dir,
+                resume=True, fault_plan=plan), **kwargs
         )
         assert len(RunStore(run_dir)) == 2
 
@@ -177,7 +195,8 @@ class TestFaultPlanInterop:
 class TestConservationAudit:
     def test_measure_at_load_passes_audit(self):
         point = measure_at_load(
-            thrift_echo, 2000, duration=0.15, warmup=0.05, audit=True
+            thrift_echo, 2000, duration=0.15, warmup=0.05,
+            options=RunOptions(audit=True)
         )
         assert point.completed > 0
 
@@ -188,7 +207,8 @@ class TestConservationAudit:
         ]))
         measure_at_load(
             build_single_tier, 800, duration=0.15, warmup=0.02,
-            fault_plan=load_fault_plan(path), audit=True, replicas=2,
+            options=RunOptions(fault_plan=load_fault_plan(path), audit=True),
+            replicas=2,
         )
 
     def test_tampered_counters_fail_audit(self):
@@ -220,15 +240,15 @@ class TestConservationAudit:
 class TestRegistryForwarding:
     def test_supports_flags(self):
         fig6 = registry.get("fig6")
-        assert fig6.supports_run_dir and fig6.supports_audit
+        assert {"run_dir", "audit"} <= fig6.capabilities
         table3 = registry.get("table3")
-        assert not table3.supports_run_dir
-        assert not table3.supports_audit
+        assert "run_dir" not in table3.capabilities
+        assert "audit" not in table3.capabilities
 
     def test_run_dir_forwarded_and_journaled(self, tmp_path):
         run_dir = tmp_path / "run"
         result = registry.get("fig14").run(
-            run_dir=run_dir,
+            options=RunOptions(run_dir=run_dir),
             cluster_sizes=(2,), slow_fractions=(0.0,), num_requests=30,
         )
         assert len(result) == 1
@@ -238,13 +258,14 @@ class TestRegistryForwarding:
     def test_audit_forwarded(self):
         # Registry experiments must pass the audit end to end.
         registry.get("fig6").run(
-            audit=True, loads=(500,), duration=0.1, warmup=0.02
+            options=RunOptions(audit=True), loads=(500,), duration=0.1,
+            warmup=0.02
         )
 
     def test_unsupported_run_dir_is_loud(self, tmp_path):
         with pytest.raises(ReproError, match="run_dir"):
-            registry.get("table3").run(run_dir=tmp_path / "run")
+            registry.get("table3").run(RunOptions(run_dir=tmp_path / "run"))
 
     def test_unsupported_audit_is_loud(self):
         with pytest.raises(ReproError, match="audit"):
-            registry.get("table3").run(audit=True)
+            registry.get("table3").run(RunOptions(audit=True))

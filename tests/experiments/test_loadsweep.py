@@ -10,6 +10,7 @@ from repro.experiments import (
     measure_at_load,
     saturation_load,
 )
+from repro.experiments.options import RunOptions
 
 
 class TestMeasureAtLoad:
@@ -39,7 +40,8 @@ class TestPointSlo:
     def test_point_carries_slo_verdicts(self):
         # A generous objective on a light load: monitored but met.
         point = measure_at_load(
-            thrift_echo, 2000, duration=0.2, warmup=0.05, slo="p99<1s",
+            thrift_echo, 2000, duration=0.2, warmup=0.05,
+            options=RunOptions(slo="p99<1s"),
         )
         assert point.slo is not None
         assert set(point.slo) == {"p99<1s"}
@@ -48,7 +50,8 @@ class TestPointSlo:
 
     def test_overload_breaches_tight_slo(self):
         point = measure_at_load(
-            thrift_echo, 90_000, duration=0.2, warmup=0.05, slo="p99<1ms",
+            thrift_echo, 90_000, duration=0.2, warmup=0.05,
+            options=RunOptions(slo="p99<1ms"),
         )
         assert point.slo_breaches >= 1
 
@@ -112,15 +115,18 @@ class TestParallelSweep:
         # processes changes nothing, bit for bit.
         loads = [1000, 2000, 3000, 4000]
         serial = load_latency_sweep(
-            thrift_echo, loads, duration=0.15, warmup=0.05, jobs=1
+            thrift_echo, loads, duration=0.15, warmup=0.05,
+            options=RunOptions(jobs=1)
         )
         fanned = load_latency_sweep(
-            thrift_echo, loads, duration=0.15, warmup=0.05, jobs=2
+            thrift_echo, loads, duration=0.15, warmup=0.05,
+            options=RunOptions(jobs=2)
         )
         assert fanned == serial
 
     def test_parallel_sweep_sorts_loads(self):
         points = load_latency_sweep(
-            thrift_echo, [3000, 1000], duration=0.15, warmup=0.05, jobs=2
+            thrift_echo, [3000, 1000], duration=0.15, warmup=0.05,
+            options=RunOptions(jobs=2)
         )
         assert [p.offered_qps for p in points] == [1000, 3000]

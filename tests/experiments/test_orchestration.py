@@ -12,6 +12,7 @@ from repro.experiments import (
     rollout_experiment,
 )
 from repro.experiments.loadsweep import measure_at_load
+from repro.experiments.options import RunOptions
 from repro.apps import thrift_echo
 from repro.faults import FaultPlan
 
@@ -20,7 +21,9 @@ FAST = dict(qps=300.0, duration=2.0, fail_at=0.4)
 
 class TestNodeFailure:
     def test_three_seeds_heal_without_losing_requests(self):
-        points = node_failure_experiment(seeds=(1, 2, 3), audit=True, **FAST)
+        points = node_failure_experiment(
+            seeds=(1, 2, 3), options=RunOptions(audit=True), **FAST
+        )
         assert len(points) == 3
         for p in points:
             # Conservation: every request sent was resolved.
@@ -47,23 +50,27 @@ class TestNodeFailure:
             .recover_machine(1.2, "node1")
         )
         (p,) = node_failure_experiment(
-            seeds=(1,), fault_plan=plan, audit=True, **FAST
+            seeds=(1,), options=RunOptions(fault_plan=plan, audit=True), **FAST
         )
         assert p.lost == 0
         assert p.retirements >= 1
 
     def test_durable_run_resumes_from_journal(self, tmp_path):
         first = node_failure_experiment(
-            seeds=(1, 2), run_dir=tmp_path / "run", **FAST
+            seeds=(1, 2), options=RunOptions(run_dir=tmp_path / "run"), **FAST
         )
         again = node_failure_experiment(
-            seeds=(1, 2), run_dir=tmp_path / "run", **FAST
+            seeds=(1, 2), options=RunOptions(run_dir=tmp_path / "run"), **FAST
         )
         assert again == first
 
     def test_parallel_identity(self):
-        serial = node_failure_experiment(seeds=(1, 2), jobs=1, **FAST)
-        fanned = node_failure_experiment(seeds=(1, 2), jobs=2, **FAST)
+        serial = node_failure_experiment(
+            seeds=(1, 2), options=RunOptions(jobs=1), **FAST
+        )
+        fanned = node_failure_experiment(
+            seeds=(1, 2), options=RunOptions(jobs=2), **FAST
+        )
         assert fanned == serial
 
 
@@ -93,11 +100,11 @@ class TestRollout:
     def test_durable_rollback_run(self, tmp_path):
         first = rollout_experiment(
             seeds=(1,), regression=10.0, duration=3.5,
-            run_dir=tmp_path / "run",
+            options=RunOptions(run_dir=tmp_path / "run"),
         )
         again = rollout_experiment(
             seeds=(1,), regression=10.0, duration=3.5,
-            run_dir=tmp_path / "run",
+            options=RunOptions(run_dir=tmp_path / "run"),
         )
         assert again == first
         assert first[0].rolled_back
@@ -107,13 +114,13 @@ class TestRegistry:
     def test_experiments_registered(self):
         node = registry.get("node_failure")
         roll = registry.get("rollout")
-        assert node.supports_fault_plan
-        assert not roll.supports_fault_plan
+        assert "fault_plan" in node.capabilities
+        assert "fault_plan" not in roll.capabilities
 
     def test_fault_plan_rejected_where_unsupported(self):
         spec = registry.get("rollout")
         with pytest.raises(ReproError, match="fault_plan"):
-            spec.run(fault_plan=FaultPlan().crash(0.1, "web-0"))
+            spec.run(RunOptions(fault_plan=FaultPlan().crash(0.1, "web-0")))
 
 
 class TestControlPlaneOffBitIdentity:

@@ -7,6 +7,7 @@ from repro.apps import single_memcached
 from repro.errors import ConfigError
 from repro.experiments import registry
 from repro.experiments.comparison import bighouse_single_tier
+from repro.experiments.options import RunOptions
 from repro.experiments.tail_at_scale import (
     build_fanout_cluster,
     measure_tail_at_scale,
@@ -88,17 +89,21 @@ class TestRegistry:
     def test_sweep_experiments_support_jobs(self):
         for exp_id in ("fig5", "fig6", "fig8", "fig10", "fig12a",
                        "fig12b", "fig14"):
-            assert registry.get(exp_id).supports_jobs, exp_id
+            assert "jobs" in registry.get(exp_id).capabilities, exp_id
 
     def test_jobs_ignored_by_serial_runners(self):
-        # Inherently serial experiments (timelines) must not receive a
-        # jobs kwarg they would choke on.
+        # Inherently serial experiments (timelines) ignore jobs: it is
+        # never a requested capability, so the registry cannot refuse
+        # it, and a runner without capabilities gets no options at all.
         spec = registry.get("fig16")
-        assert not spec.supports_jobs
-        import inspect
-        # run(jobs=4) on such a spec only forwards declared kwargs.
-        sig = inspect.signature(spec.runner)
-        assert "jobs" not in sig.parameters
+        assert "jobs" not in spec.capabilities
+        assert RunOptions(jobs=4).requested == frozenset()
+        seen = {}
+        serial = registry.ExperimentSpec(
+            "serial", "-", "stub", lambda **kw: seen.update(kw) or "ran"
+        )
+        assert serial.run(RunOptions(jobs=4), seed=3) == "ran"
+        assert seen == {"seed": 3}
 
 
 class TestParallelGrid:
@@ -109,8 +114,8 @@ class TestParallelGrid:
             cluster_sizes=(5, 10), slow_fractions=(0.0, 0.1),
             qps=50, num_requests=30, seed=4,
         )
-        serial = tail_at_scale_sweep(jobs=1, **kwargs)
-        fanned = tail_at_scale_sweep(jobs=2, **kwargs)
+        serial = tail_at_scale_sweep(options=RunOptions(jobs=1), **kwargs)
+        fanned = tail_at_scale_sweep(options=RunOptions(jobs=2), **kwargs)
         assert fanned == serial
         # Grid order: fractions outer, sizes inner — unchanged.
         assert [(p.cluster_size, p.slow_fraction) for p in serial] == [

@@ -20,6 +20,7 @@ from repro.experiments.loadsweep import (
     measure_at_load,
     shard_recovery_manifest_summary,
 )
+from repro.experiments.options import RunOptions
 from repro.experiments.tail_at_scale import (
     build_fanout_cluster,
     measure_tail_at_scale,
@@ -367,11 +368,15 @@ class TestExperimentPlumbing:
             cluster_size=6, slow_fraction=0.0, network=det_fabric(),
         )
         base = measure_at_load(
-            build_fanout_cluster, shards=2, mode="process", **common
+            build_fanout_cluster, options=RunOptions(shards=2), mode="process",
+            **common
         )
         faulted = measure_at_load(
-            build_fanout_cluster, shards=2, mode="process",
-            fault_plan=FaultPlan().kill_shard(1, 4), audit=True,
+            build_fanout_cluster, mode="process",
+            options=RunOptions(
+                shards=2, fault_plan=FaultPlan().kill_shard(1, 4),
+                audit=True,
+            ),
             **common
         )
         assert base.shard_recovery is None
@@ -381,11 +386,15 @@ class TestExperimentPlumbing:
     def test_tail_at_scale_point_reports_recovery(self):
         kwargs = dict(qps=60.0, num_requests=30, seed=5)
         base = measure_tail_at_scale(
-            8, 0.1, shards=2, network=det_fabric(), **kwargs
+            8, 0.1, options=RunOptions(shards=2), network=det_fabric(),
+            **kwargs
         )
         faulted = measure_tail_at_scale(
-            8, 0.1, shards=2, network=det_fabric(),
-            fault_plan=FaultPlan().kill_shard(1, 3), audit=True,
+            8, 0.1, network=det_fabric(),
+            options=RunOptions(
+                shards=2, fault_plan=FaultPlan().kill_shard(1, 3),
+                audit=True,
+            ),
             **kwargs
         )
         assert base.shard_recovery is None

@@ -1,5 +1,7 @@
 """Tests for the `python -m repro` CLI."""
 
+import pytest
+
 from repro.__main__ import main
 
 from .config.conftest import spec_dir  # noqa: F401 (fixture reuse)
@@ -89,11 +91,12 @@ class TestExperimentsCommand:
 
         seen = {}
 
-        def runner(jobs=1):
-            seen["jobs"] = jobs
+        def runner(options):
+            seen["jobs"] = options.jobs
             return "ran"
 
-        cheap = ExperimentSpec("figZ", "Figure Z", "stub", runner)
+        cheap = ExperimentSpec("figZ", "Figure Z", "stub", runner,
+                               frozenset({"jobs"}))
         monkeypatch.setitem(registry._BY_ID, "figZ", cheap)
         assert main(["experiments", "run", "figZ", "--jobs", "3"]) == 0
         assert seen["jobs"] == 3
@@ -118,22 +121,23 @@ class TestExperimentsCommand:
 
 
 class TestDurableExperimentFlags:
-    def _install(self, monkeypatch, exp_id, runner):
+    def _install(self, monkeypatch, exp_id, runner, capabilities=()):
         from repro.experiments import registry
         from repro.experiments.registry import ExperimentSpec
 
-        cheap = ExperimentSpec(exp_id, "Figure T", "stub", runner)
+        cheap = ExperimentSpec(exp_id, "Figure T", "stub", runner,
+                               frozenset(capabilities))
         monkeypatch.setitem(registry._BY_ID, exp_id, cheap)
 
     def test_run_dir_and_resume_forwarded(self, capsys, monkeypatch,
                                           tmp_path):
         seen = {}
 
-        def runner(run_dir=None, resume=True):
-            seen.update(run_dir=run_dir, resume=resume)
+        def runner(options):
+            seen.update(run_dir=options.run_dir, resume=options.resume)
             return "ran"
 
-        self._install(monkeypatch, "figT", runner)
+        self._install(monkeypatch, "figT", runner, {"run_dir"})
         run_dir = tmp_path / "run"
         assert main([
             "experiments", "run", "figT",
@@ -145,11 +149,11 @@ class TestDurableExperimentFlags:
     def test_audit_forwarded(self, capsys, monkeypatch):
         seen = {}
 
-        def runner(audit=False):
-            seen["audit"] = audit
+        def runner(options):
+            seen["audit"] = options.audit
             return "ran"
 
-        self._install(monkeypatch, "figU", runner)
+        self._install(monkeypatch, "figU", runner, {"audit"})
         assert main(["experiments", "run", "figU", "--audit"]) == 0
         assert seen == {"audit": True}
         capsys.readouterr()
@@ -159,18 +163,18 @@ class TestDurableExperimentFlags:
 
         run_dir = tmp_path / "run"
 
-        def runner(run_dir=None, resume=True):
+        def runner(options):
             # Stand-in for a durable sweep leaving a manifest behind.
             from pathlib import Path
-            Path(run_dir).mkdir(parents=True, exist_ok=True)
-            (Path(run_dir) / "manifest.json").write_text(json.dumps({
+            Path(options.run_dir).mkdir(parents=True, exist_ok=True)
+            (Path(options.run_dir) / "manifest.json").write_text(json.dumps({
                 "experiment": "figV", "status": "completed",
                 "counts": {"ok": 3}, "resumed_points": 1,
                 "wall_time_s": 0.5,
             }))
             return "ran"
 
-        self._install(monkeypatch, "figV", runner)
+        self._install(monkeypatch, "figV", runner, {"run_dir"})
         assert main([
             "experiments", "run", "figV", "--run-dir", str(run_dir),
         ]) == 0
@@ -191,11 +195,12 @@ class TestDurableExperimentFlags:
 
 
 class TestObservabilityFlags:
-    def _install(self, monkeypatch, exp_id, runner):
+    def _install(self, monkeypatch, exp_id, runner, capabilities=()):
         from repro.experiments import registry
         from repro.experiments.registry import ExperimentSpec
 
-        cheap = ExperimentSpec(exp_id, "Figure S", "stub", runner)
+        cheap = ExperimentSpec(exp_id, "Figure S", "stub", runner,
+                               frozenset(capabilities))
         monkeypatch.setitem(registry._BY_ID, exp_id, cheap)
 
     def test_run_with_slo_prints_verdicts(self, spec_dir, capsys):
@@ -234,16 +239,16 @@ class TestObservabilityFlags:
     def test_slo_forwarded_to_supporting_runner(self, capsys, monkeypatch):
         seen = {}
 
-        def runner(slo=None):
-            seen["slo"] = slo
+        def runner(options):
+            seen["slo"] = options.slo
             return "ran"
 
-        self._install(monkeypatch, "figS", runner)
+        self._install(monkeypatch, "figS", runner, {"slo"})
         assert main([
             "experiments", "run", "figS",
             "--slo", "p99<5ms", "--slo", "avail>99.9%",
         ]) == 0
-        assert seen == {"slo": ["p99<5ms", "avail>99.9%"]}
+        assert seen == {"slo": ("p99<5ms", "avail>99.9%")}
         capsys.readouterr()
 
     def test_slo_rejected_by_unsupporting_runner(self, capsys, monkeypatch):
@@ -287,11 +292,11 @@ class TestObservabilityFlags:
                                                    monkeypatch):
         seen = {}
 
-        def runner(scrape_interval=None):
-            seen["scrape_interval"] = scrape_interval
+        def runner(options):
+            seen["scrape_interval"] = options.scrape_interval
             return "ran"
 
-        self._install(monkeypatch, "figScrape", runner)
+        self._install(monkeypatch, "figScrape", runner, {"scrape"})
         assert main([
             "experiments", "run", "figScrape", "--scrape-interval", "0.01",
         ]) == 0
@@ -308,6 +313,36 @@ class TestObservabilityFlags:
         assert code == 2
         assert "does not support scrape_interval" in \
             capsys.readouterr().err
+
+    def test_every_unsupported_knob_named_in_one_error(self, capsys):
+        code = main([
+            "experiments", "run", "fig6",
+            "--slo", "p99<5ms", "--scrape-interval", "0.1",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "does not support slo, scrape_interval" in err
+
+    def test_trace_sample_without_trace_dir_rejected(self, capsys):
+        code = main(["experiments", "run", "fig8", "--trace-sample", "0.5"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--trace-sample" in err and "--trace-dir" in err
+
+    @pytest.mark.parametrize("slos", [
+        ["p99<5ms", "p95<2ms"],
+        ["avail>99.9%"],
+    ])
+    def test_fig16_needs_exactly_one_latency_slo(self, capsys, slos):
+        argv = ["experiments", "run", "fig16"]
+        for spec in slos:
+            argv += ["--slo", spec]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "latency SLO" in err
 
 
 class TestAnalyzeCommand:
